@@ -22,15 +22,18 @@ from scipy.integrate import trapezoid
 from .core import (
     GridFunction,
     NonlinearitySpec,
-    PowerSystemSpec,
     SystemSpec,
-    _as_system,
-    binomial,
+    _values,
     eval_nonlinearity,
     grid_points,
     sup_norm,
 )
-from .operators import apply_composite, apply_operator, hessian_eigenvalues
+from .operators import (
+    _symmetric_function,
+    apply_composite,
+    apply_operator,
+    hessian_eigenvalues,
+)
 
 __all__ = [
     "BoundCheck",
@@ -73,7 +76,7 @@ def cone_check(v: GridFunction | np.ndarray, tol: float = 1e-10) -> ConeReport:
     nonneg_margin is the global minimum of v.  Membership allows round-off
     slack tol on both.
     """
-    vals = v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
+    vals = _values(v)
     t = grid_points(vals.size)
     nonneg_margin = float(np.min(vals))
     window_min = float(np.min(vals[_window_slice(t)]))
@@ -97,7 +100,7 @@ def lower_bound_constant(k: int, N: int, M: int = 4001) -> float:
     """
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    C = binomial(N - 1, k - 1)
+    C = math.comb(N - 1, k - 1)
     s = np.linspace(0.0, 1.0, M)
     tau = 0.25 + 0.5 * s**k
     inner = (tau**N - 0.25**N) / (N * C)
@@ -110,7 +113,7 @@ def upper_bound_prefactor(k: int, N: int) -> float:
     """Endpoint prefactor (1/2)(k/(N*C(N-1,k-1)))^{1/k}; strictly below 1."""
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    return 0.5 * (k / (N * binomial(N - 1, k - 1))) ** (1.0 / k)
+    return 0.5 * (k / (N * math.comb(N - 1, k - 1))) ** (1.0 / k)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ class BoundCheck:
 
 
 def lower_bound_check(
-    spec: SystemSpec | PowerSystemSpec,
+    spec: SystemSpec,
     i: int,
     v: GridFunction,
     eta: float,
@@ -147,13 +150,12 @@ def lower_bound_check(
     dominates Gamma_i * eta^{1/k_i} * (||v||/4)^{m/k_i} up to tol, where
     Gamma_i is lower_bound_constant(k_i, N).
     """
-    sys_spec = _as_system(spec)
-    vals = v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
+    vals = _values(v)
     t = grid_points(vals.size)
-    k_i = sys_spec.k[i - 1]
+    k_i = spec.k[i - 1]
 
     inside = _window_slice(t)
-    fv = np.asarray(eval_nonlinearity(sys_spec.f[i - 1], t, vals), dtype=float)
+    fv = np.asarray(eval_nonlinearity(spec.f[i - 1], t, vals), dtype=float)
     floor = eta * vals**m
     hypothesis_ok = bool(
         cone_check(v).in_cone and np.all(fv[inside] >= floor[inside] - 1e-12)
@@ -161,15 +163,15 @@ def lower_bound_check(
     if not hypothesis_ok:
         return BoundCheck(False, None, math.nan, math.nan)
 
-    w = apply_operator(sys_spec, i, v)
+    w = apply_operator(spec, i, v)
     lhs = float(np.interp(WINDOW[0], t, w.values))
-    gamma_i = lower_bound_constant(k_i, sys_spec.N)
+    gamma_i = lower_bound_constant(k_i, spec.N)
     rhs = gamma_i * eta ** (1.0 / k_i) * (sup_norm(vals) / 4.0) ** (m / k_i)
     return BoundCheck(True, bool(lhs >= rhs - tol), lhs, rhs)
 
 
 def upper_bound_check(
-    spec: SystemSpec | PowerSystemSpec,
+    spec: SystemSpec,
     i: int,
     v: GridFunction,
     eps: float,
@@ -182,23 +184,22 @@ def upper_bound_check(
     tested: sup ||output|| < (eps * ||v||^d)^{1/k_i} + tol.  The strict form
     holds with room to spare because the endpoint prefactor is below 1.
     """
-    sys_spec = _as_system(spec)
-    vals = v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
+    vals = _values(v)
     t = grid_points(vals.size)
-    k_i = sys_spec.k[i - 1]
+    k_i = spec.k[i - 1]
 
-    fv = np.asarray(eval_nonlinearity(sys_spec.f[i - 1], t, vals), dtype=float)
+    fv = np.asarray(eval_nonlinearity(spec.f[i - 1], t, vals), dtype=float)
     cap = eps * vals**d
     hypothesis_ok = bool(np.all(fv <= cap + 1e-12))
     if not hypothesis_ok:
         return BoundCheck(False, None, math.nan, math.nan)
 
-    lhs = sup_norm(apply_operator(sys_spec, i, v))
+    lhs = sup_norm(apply_operator(spec, i, v))
     rhs = (eps * sup_norm(vals) ** d) ** (1.0 / k_i)
     return BoundCheck(True, bool(lhs < rhs + tol), lhs, rhs)
 
 
-def chain_contraction_bound(spec: PowerSystemSpec) -> float:
+def chain_contraction_bound(spec: SystemSpec) -> float:
     """Explicit upper bound for ||composite(v)|| / ||v||^rho on unit-norm input.
 
     Composing the per-equation sup bound ||A_j(w)|| <= P_j ||w||^{gamma_j/k_j}
@@ -230,8 +231,6 @@ class GrowthClass:
       C3: like C1 at zero plus positive lower_inf, products straddling
           (below at zero, above at infinity) -- the two-solution regime
           when a threshold radius exists;
-      C4: all upper0 and upper_inf positive, products straddling the other
-          way (cannot occur for this family since alpha_i <= beta_i);
       none: no regime matches (in particular the ratio-1 boundary).
 
     vanishing_count counts equations whose forcing vanishes at v = 0;
@@ -271,13 +270,12 @@ def _dominant_coefficients(f: NonlinearitySpec, exponent: float) -> tuple[float,
     return at0, at1
 
 
-def classify_growth(spec: SystemSpec | PowerSystemSpec) -> GrowthClass:
+def classify_growth(spec: SystemSpec) -> GrowthClass:
     """Classify a system by its forcing growth at v = 0 and v = infinity."""
-    sys_spec = _as_system(spec)
     alpha, beta = [], []
     lower0, upper0, lower_inf, upper_inf = [], [], [], []
     vanishing = []
-    for f in sys_spec.f:
+    for f in spec.f:
         exps = [g for _, _, g in f.active_terms]
         a, b = min(exps), max(exps)
         alpha.append(a)
@@ -292,8 +290,8 @@ def classify_growth(spec: SystemSpec | PowerSystemSpec) -> GrowthClass:
 
     pa = float(np.prod(alpha))
     pb = float(np.prod(beta))
-    pk = float(np.prod(sys_spec.k))
-    n = sys_spec.n
+    pk = float(np.prod(spec.k))
+    n = spec.n
 
     exponents_positive = all(a > 0 for a in alpha)
     tail_vanishes = all(vanishing[1:])
@@ -321,12 +319,6 @@ def classify_growth(spec: SystemSpec | PowerSystemSpec) -> GrowthClass:
             and pa < pk < pb
         ):
             condition = "C3"
-        elif (
-            all(x > 0 for x in upper0)
-            and all(x > 0 for x in upper_inf)
-            and pa > pk > pb
-        ):
-            condition = "C4"
 
     count = sum(vanishing)
     return GrowthClass(
@@ -378,7 +370,7 @@ def _box_inf(f: NonlinearitySpec, t_lo: float, t_hi: float, v_lo: float, t_point
 
 
 def multiplicity_thresholds(
-    spec: SystemSpec | PowerSystemSpec,
+    spec: SystemSpec,
     r0: float | None = None,
     R0: float | None = None,
     t_points: int = 64,
@@ -389,16 +381,15 @@ def multiplicity_thresholds(
     the corners; the t dependence is scanned on a t_points grid.  Either
     anchor may be omitted; a nonpositive anchor is a domain error.
     """
-    sys_spec = _as_system(spec)
     if r0 is None and R0 is None:
         raise ValueError("need at least one of r0, R0")
     for name, val in (("r0", r0), ("R0", R0)):
         if val is not None and (not math.isfinite(val) or val <= 0):
             raise ValueError(f"{name} must be positive and finite")
 
-    n = sys_spec.n
-    k = sys_spec.k
-    f = sys_spec.f
+    n = spec.n
+    k = spec.k
+    f = spec.f
 
     sup_chain = None
     r0_condition = None
@@ -421,12 +412,12 @@ def multiplicity_thresholds(
         e = [0.0] * n
         e[n - 1] = _box_inf(f[n - 1], *WINDOW, R0 / 4.0, t_points)
         for i in range(n - 2, -1, -1):
-            gamma_next = lower_bound_constant(k[i + 1], sys_spec.N)
+            gamma_next = lower_bound_constant(k[i + 1], spec.N)
             v_lo = 0.25 * gamma_next * e[i + 1] ** (1.0 / k[i + 1])
             e[i] = _box_inf(f[i], *WINDOW, v_lo, t_points)
         sup_at_R0 = tuple(gt[1:])
         inf_chain = tuple(e)
-        gamma_1 = lower_bound_constant(k[0], sys_spec.N)
+        gamma_1 = lower_bound_constant(k[0], spec.N)
         R0_condition = bool(R0 < gamma_1 * e[0] ** (1.0 / k[0]))
 
     return ThresholdReport(
@@ -463,7 +454,7 @@ class SublinearityReport:
 
 
 def sublinearity_check(
-    spec: PowerSystemSpec, v: GridFunction, xi: float
+    spec: SystemSpec, v: GridFunction, xi: float
 ) -> SublinearityReport:
     """Measure the comparison sandwich and the strict downscaling gain."""
     if not 0 < xi < 1:
@@ -504,10 +495,8 @@ def admissibility_check(u: GridFunction, k: int, N: int) -> float:
     """
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    a, b = hessian_eigenvalues(u, N)
+    a, b = hessian_eigenvalues(u)
     margin = math.inf
     for l in range(1, k + 1):
-        # math.comb gives C(N-1, N) = 0, which the l = N case needs
-        s_l = math.comb(N - 1, l) * b**l + math.comb(N - 1, l - 1) * a * b ** (l - 1)
-        margin = min(margin, float(np.min(s_l)))
+        margin = min(margin, float(np.min(_symmetric_function(a, b, l, N))))
     return margin

@@ -49,13 +49,13 @@ from .core import (
     PowerSystemSpec,
     SolutionBundle,
     SystemSpec,
-    _as_system,
     eval_nonlinearity,
     grid_points,
     sup_norm,
 )
 from .solver import (
     IterationStatus,
+    _default_shape,
     lambda_product_check,
     make_bundle,
     norm_profile_scan,
@@ -90,7 +90,7 @@ class ConfigError(ValueError):
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
-    spec: SystemSpec | PowerSystemSpec
+    spec: SystemSpec
     M: int = 1001
     tol: float = 1e-10
     seed: int = 0
@@ -117,7 +117,7 @@ class ScenarioConfig:
             raise ConfigError("starts must be at least 1")
 
 
-def _build_spec(data: dict) -> SystemSpec | PowerSystemSpec:
+def _build_spec(data: dict) -> SystemSpec:
     try:
         N = int(data["N"])
         k = tuple(int(x) for x in data["k"])
@@ -254,11 +254,6 @@ class _Run:
             print(f"report: {report}")
 
 
-def _default_init(M: int, amplitude: float = 1.0) -> GridFunction:
-    t = grid_points(M)
-    return GridFunction(amplitude * (1.0 - t * t))
-
-
 def _random_cone_inits(M: int, count: int, seed: int) -> list[GridFunction]:
     """Deterministic cone starts: positive mixtures of 1-t^2 and 1-t."""
     rng = np.random.default_rng(seed)
@@ -276,25 +271,22 @@ def _rel_sup_distance(x: GridFunction, y: GridFunction) -> float:
     return float(np.max(np.abs(x.values - y.values))) / denom
 
 
+def _fields(obj, omit: tuple[str, ...] = ()) -> dict:
+    """Record values from a dataclass: every field except those in omit.
+
+    Shallow on purpose: dataclasses.asdict would deep-copy every bundle
+    held in an omitted field.
+    """
+    return {
+        f.name: getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if f.name not in omit
+    }
+
+
 def _growth_record(run: _Run) -> str:
     growth = classify_growth(run.config.spec)
-    run.record(
-        "growth_classification",
-        {
-            "condition": growth.condition,
-            "alpha": growth.alpha,
-            "beta": growth.beta,
-            "lower0": growth.lower0,
-            "upper0": growth.upper0,
-            "lower_inf": growth.lower_inf,
-            "upper_inf": growth.upper_inf,
-            "product_alpha": growth.product_alpha,
-            "product_beta": growth.product_beta,
-            "product_k": growth.product_k,
-            "vanishing_count": growth.vanishing_count,
-            "relabel_vanishing_ok": growth.relabel_vanishing_ok,
-        },
-    )
+    run.record("growth_classification", _fields(growth))
     return growth.condition
 
 
@@ -302,15 +294,7 @@ def _verify_and_store(run: _Run, bundle: SolutionBundle, label: str) -> bool:
     report = verify_solution(bundle)
     run.record(
         f"verification_{label}",
-        {
-            "max_residual": report.max_residual,
-            "boundary_errors": report.boundary_errors,
-            "admissibility_margins": report.admissibility_margins,
-            "convexity_margins": report.convexity_margins,
-            "cone_margins": report.cone_margins,
-            "cone_ok": report.cone_ok,
-            "convex_ok": report.convex_ok,
-        },
+        _fields(report, omit=("residual_tol", "passed")),
         {"residual": report.residual_tol},
         report.passed,
     )
@@ -330,16 +314,21 @@ def _scan(run: _Run, points: int | None = None):
     )
     run.record(
         "norm_profile",
-        {
-            "radii": profile.radii,
-            "values": profile.values,
-            "converged": profile.converged,
-            "sign_changes": profile.sign_changes,
-            "roots": profile.roots,
-        },
+        _fields(profile, omit=("solutions",)),
         {"r_min": cfg.r_min, "r_max": cfg.r_max, "points": points or cfg.points},
     )
     return profile
+
+
+def _verify_scan(run: _Run, needed: int) -> int:
+    """Scan, verify every accepted root, and pass when at least needed verify."""
+    profile = _scan(run)
+    verified = 0
+    for idx, bundle in enumerate(profile.solutions, start=1):
+        if bundle is not None and _verify_and_store(run, bundle, str(idx)):
+            verified += 1
+    run.record("solutions_found", {"count": verified}, passed=verified >= needed)
+    return EXIT_OK if verified >= needed else EXIT_NUMERICAL
 
 
 def _scenario_existence(run: _Run) -> int:
@@ -350,16 +339,11 @@ def _scenario_existence(run: _Run) -> int:
         return EXIT_HYPOTHESIS
 
     if condition == "C1":
-        report = picard_solve(
-            cfg.spec, _default_init(cfg.M), damping=cfg.damping, tol=cfg.tol
-        )
+        init = GridFunction(_default_shape(cfg.M))
+        report = picard_solve(cfg.spec, init, damping=cfg.damping, tol=cfg.tol)
         run.record(
             "picard",
-            {
-                "status": report.status,
-                "iterations": report.iterations,
-                "final_delta": report.final_delta,
-            },
+            _fields(report, omit=("norm_history", "solution")),
             {"tol": cfg.tol},
             report.status is IterationStatus.CONVERGED,
         )
@@ -367,13 +351,7 @@ def _scenario_existence(run: _Run) -> int:
             return EXIT_NUMERICAL
         return EXIT_OK if _verify_and_store(run, report.solution, "1") else EXIT_NUMERICAL
 
-    profile = _scan(run)
-    verified = 0
-    for idx, bundle in enumerate(profile.solutions, start=1):
-        if bundle is not None and _verify_and_store(run, bundle, str(idx)):
-            verified += 1
-    run.record("solutions_found", {"count": verified}, passed=verified >= 1)
-    return EXIT_OK if verified >= 1 else EXIT_NUMERICAL
+    return _verify_scan(run, 1)
 
 
 def _scenario_multiplicity(run: _Run) -> int:
@@ -382,36 +360,19 @@ def _scenario_multiplicity(run: _Run) -> int:
         raise ConfigError("multiplicity scenario needs r0 or R0")
     _growth_record(run)
     thresholds = multiplicity_thresholds(cfg.spec, r0=cfg.r0, R0=cfg.R0)
-    run.record(
-        "thresholds",
-        {
-            "r0": thresholds.r0,
-            "R0": thresholds.R0,
-            "sup_chain": thresholds.sup_chain,
-            "sup_chain_at_R0": thresholds.sup_chain_at_R0,
-            "inf_chain": thresholds.inf_chain,
-            "r0_condition": thresholds.r0_condition,
-            "R0_condition": thresholds.R0_condition,
-        },
-    )
+    run.record("thresholds", _fields(thresholds))
     satisfied = bool(thresholds.r0_condition) or bool(thresholds.R0_condition)
     if not satisfied:
         run.record("hypothesis", {"reason": "threshold condition not met"}, passed=False)
         return EXIT_HYPOTHESIS
 
-    profile = _scan(run)
-    verified = 0
-    for idx, bundle in enumerate(profile.solutions, start=1):
-        if bundle is not None and _verify_and_store(run, bundle, str(idx)):
-            verified += 1
-    run.record("solutions_found", {"count": verified}, passed=verified >= 2)
-    return EXIT_OK if verified >= 2 else EXIT_NUMERICAL
+    return _verify_scan(run, 2)
 
 
 def _scenario_uniqueness(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if not isinstance(spec, PowerSystemSpec) or spec.homogeneity_ratio >= 1.0:
+    if spec.gamma is None or spec.homogeneity_ratio >= 1.0:
         run.record(
             "hypothesis",
             {"reason": "uniqueness needs a power system with ratio below 1"},
@@ -438,7 +399,8 @@ def _scenario_uniqueness(run: _Run) -> int:
         spread <= 1e-5,
     )
 
-    eig = normalized_power_iteration(spec, _default_init(cfg.M), tol=cfg.tol)
+    init = GridFunction(_default_shape(cfg.M))
+    eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     rescaled = rescale_to_solution(spec, eig)
     rescale_dist = _rel_sup_distance(rescaled.v[0], limits[0])
     run.record(
@@ -457,14 +419,7 @@ def _scenario_uniqueness(run: _Run) -> int:
     sub = sublinearity_check(spec, limits[0], cfg.xi)
     run.record(
         "sublinearity",
-        {
-            "ratio_min": sub.ratio_min,
-            "ratio_max": sub.ratio_max,
-            "gain": sub.gain,
-            "gain_expected": sub.gain_expected,
-            "xi": sub.xi,
-            "rho": sub.rho,
-        },
+        _fields(sub, omit=("hypothesis_ok",)),
         passed=sub.hypothesis_ok and sub.ratio_min > 0 and sub.gain > 0,
     )
 
@@ -477,7 +432,7 @@ def _scenario_uniqueness(run: _Run) -> int:
 def _scenario_nonexistence(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if not isinstance(spec, PowerSystemSpec) or not math.isclose(
+    if spec.gamma is None or not math.isclose(
         spec.homogeneity_ratio, 1.0, rel_tol=0, abs_tol=1e-12
     ):
         run.record(
@@ -487,7 +442,8 @@ def _scenario_nonexistence(run: _Run) -> int:
         )
         return EXIT_HYPOTHESIS
 
-    eig = normalized_power_iteration(spec, _default_init(cfg.M), tol=cfg.tol)
+    init = GridFunction(_default_shape(cfg.M))
+    eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     bound = chain_contraction_bound(spec)
     contraction_ok = eig.mu < 1.0 and eig.mu <= bound
     run.record(
@@ -515,7 +471,7 @@ def _scenario_nonexistence(run: _Run) -> int:
 def _scenario_eigenvalue(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if not isinstance(spec, PowerSystemSpec) or not math.isclose(
+    if spec.gamma is None or not math.isclose(
         spec.homogeneity_ratio, 1.0, rel_tol=0, abs_tol=1e-12
     ):
         run.record(
@@ -525,7 +481,8 @@ def _scenario_eigenvalue(run: _Run) -> int:
         )
         return EXIT_HYPOTHESIS
 
-    eig = normalized_power_iteration(spec, _default_init(cfg.M), tol=cfg.tol)
+    init = GridFunction(_default_shape(cfg.M))
+    eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     values = [eig.lambda0]
     for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed):
         values.append(normalized_power_iteration(spec, init, tol=cfg.tol).lambda0)
@@ -551,13 +508,7 @@ def _scenario_eigenvalue(run: _Run) -> int:
             raise ConfigError(f"bad lambda row {lam}: {exc}") from exc
         run.record(
             "lambda_product",
-            {
-                "lambda": lam,
-                "product": check.product,
-                "target": check.target,
-                "exponents": check.exponents,
-                "composite_factor": check.composite_factor,
-            },
+            {"lambda": lam, **_fields(check, omit=("matches",))},
             passed=check.matches,
         )
 
@@ -567,8 +518,8 @@ def _scenario_eigenvalue(run: _Run) -> int:
 
 def _scenario_bounds(run: _Run) -> int:
     cfg = run.config
-    sys_spec = _as_system(cfg.spec)
-    N = sys_spec.N
+    spec = cfg.spec
+    N = spec.N
     run.record(
         "window_constants",
         {
@@ -584,33 +535,31 @@ def _scenario_bounds(run: _Run) -> int:
         passed=all(p < 1 for p in prefactors),
     )
 
-    v = _default_init(cfg.M)
+    v = GridFunction(_default_shape(cfg.M))
     t = grid_points(cfg.M)
-    growth = classify_growth(sys_spec)
+    growth = classify_growth(spec)
     all_ok = True
-    for i in range(1, sys_spec.n + 1):
-        f = sys_spec.f[i - 1]
+    for i in range(1, spec.n + 1):
+        f = spec.f[i - 1]
         fv = np.asarray(eval_nonlinearity(f, t, v.values), dtype=float)
 
         m = growth.alpha[i - 1]
         window = (t >= 0.25) & (t <= 0.75)
         eta = float(np.min(fv[window] / v.values[window] ** m)) * (1.0 - 1e-12)
-        low = lower_bound_check(sys_spec, i, v, eta, m)
+        low = lower_bound_check(spec, i, v, eta, m)
         run.record(
             f"lower_bound_eq{i}",
-            {"eta": eta, "m": m, "lhs": low.lhs, "rhs": low.rhs,
-             "hypothesis_ok": low.hypothesis_ok},
+            {"eta": eta, "m": m, **_fields(low, omit=("bound_holds",))},
             passed=bool(low) if low.hypothesis_ok else None,
         )
 
         d = growth.beta[i - 1]
         positive = v.values > 0
         eps = float(np.max(fv[positive] / v.values[positive] ** d)) * (1.0 + 1e-12)
-        up = upper_bound_check(sys_spec, i, v, eps, d)
+        up = upper_bound_check(spec, i, v, eps, d)
         run.record(
             f"upper_bound_eq{i}",
-            {"eps": eps, "d": d, "lhs": up.lhs, "rhs": up.rhs,
-             "hypothesis_ok": up.hypothesis_ok},
+            {"eps": eps, "d": d, **_fields(up, omit=("bound_holds",))},
             passed=bool(up) if up.hypothesis_ok else None,
         )
         if low.hypothesis_ok and not low.bound_holds:
@@ -628,21 +577,17 @@ def _scenario_verify(run: _Run) -> int:
         data = np.loadtxt(cfg.solution_csv, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read solution CSV: {exc}") from exc
-    sys_spec = _as_system(cfg.spec)
-    if data.ndim != 2 or data.shape[1] != sys_spec.n + 1:
-        raise ConfigError(
-            f"solution CSV needs columns t, v_1..v_{sys_spec.n}"
-        )
+    spec = cfg.spec
+    if data.ndim != 2 or data.shape[1] != spec.n + 1:
+        raise ConfigError(f"solution CSV needs columns t, v_1..v_{spec.n}")
     t = data[:, 0]
     M = t.size
     if not np.allclose(t, grid_points(M), atol=1e-12):
         raise ConfigError("solution CSV must sample the uniform grid on [0, 1]")
 
     try:
-        profiles = tuple(GridFunction(data[:, j + 1]) for j in range(sys_spec.n))
-        bundle = SolutionBundle(
-            v=profiles, spec=sys_spec, residual=math.nan, admissibility_margin=math.nan
-        )
+        profiles = tuple(GridFunction(data[:, j + 1]) for j in range(spec.n))
+        bundle = SolutionBundle(v=profiles, spec=spec)
     except ValueError as exc:
         run.record("bundle_invariants", {"error": str(exc)}, passed=False)
         return EXIT_NUMERICAL

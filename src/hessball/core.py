@@ -25,18 +25,10 @@ __all__ = [
     "PowerSystemSpec",
     "SolutionBundle",
     "SystemSpec",
-    "binomial",
     "eval_nonlinearity",
     "grid_points",
     "sup_norm",
 ]
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient a-choose-b in integer arithmetic."""
-    if a < 0 or b < 0 or b > a:
-        raise ValueError(f"binomial({a}, {b}) is outside the supported range 0 <= b <= a")
-    return math.comb(a, b)
 
 
 @lru_cache(maxsize=64)
@@ -79,10 +71,13 @@ class GridFunction:
         return float(self.values[index])
 
 
+def _values(v: GridFunction | np.ndarray) -> np.ndarray:
+    return v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
+
+
 def sup_norm(v: GridFunction | np.ndarray) -> float:
     """Max of |v| over the grid."""
-    vals = v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(_values(v))))
 
 
 @dataclass(frozen=True)
@@ -165,60 +160,52 @@ class SystemSpec:
     def n(self) -> int:
         return len(self.k)
 
+    @property
+    def gamma(self) -> tuple[float, ...] | None:
+        """Exponents gamma_i when every forcing is exactly v**gamma_i, else None.
 
-@dataclass(frozen=True)
-class PowerSystemSpec:
-    """Pure-power system: forcing of equation i is v**gamma_i."""
-
-    N: int
-    k: tuple[int, ...]
-    gamma: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        k = tuple(int(x) for x in self.k)
-        gamma = tuple(float(g) for g in self.gamma)
-        if len(gamma) != len(k):
-            raise ValueError("need exactly one exponent per equation")
-        if any(g <= 0 or not math.isfinite(g) for g in gamma):
-            raise ValueError("exponents must be positive and finite")
-        # delegate the k/N checks
-        SystemSpec(self.N, k, tuple(NonlinearitySpec(((1.0, 0.0, g),)) for g in gamma))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "gamma", gamma)
+        The pure-power results (rescale_to_solution, sublinearity_check,
+        chain_contraction_bound and the lambda_* helpers) need it set.
+        """
+        gamma = []
+        for f in self.f:
+            terms = f.active_terms
+            if len(terms) != 1 or terms[0][:2] != (1.0, 0.0) or terms[0][2] <= 0:
+                return None
+            gamma.append(terms[0][2])
+        return tuple(gamma)
 
     @property
-    def n(self) -> int:
-        return len(self.k)
+    def homogeneity_ratio(self) -> float | None:
+        """prod(gamma) / prod(k); the composite map scales norms by this power.
 
-    @property
-    def homogeneity_ratio(self) -> float:
-        """prod(gamma) / prod(k); the composite map scales norms by this power."""
-        return float(np.prod(self.gamma) / np.prod(self.k))
-
-    def as_system(self) -> SystemSpec:
-        return SystemSpec(
-            self.N,
-            self.k,
-            tuple(NonlinearitySpec(((1.0, 0.0, g),)) for g in self.gamma),
-        )
+        None unless the system is a pure-power one (see gamma).
+        """
+        gamma = self.gamma
+        if gamma is None:
+            return None
+        return float(np.prod(gamma) / np.prod(self.k))
 
 
-def _as_system(spec: SystemSpec | PowerSystemSpec) -> SystemSpec:
-    return spec.as_system() if isinstance(spec, PowerSystemSpec) else spec
+def PowerSystemSpec(N: int, k: tuple[int, ...], gamma: tuple[float, ...]) -> SystemSpec:
+    """Pure-power system: the SystemSpec whose forcing of equation i is v**gamma_i."""
+    gamma = tuple(float(g) for g in gamma)
+    if len(gamma) != len(k):
+        raise ValueError("need exactly one exponent per equation")
+    if any(g <= 0 or not math.isfinite(g) for g in gamma):
+        raise ValueError("exponents must be positive and finite")
+    return SystemSpec(N, k, tuple(NonlinearitySpec(((1.0, 0.0, g),)) for g in gamma))
 
 
 @dataclass(frozen=True)
 class SolutionBundle:
     """A candidate solution: one nonnegative profile per unknown.
 
-    residual and admissibility_margin are diagnostics filled in by whichever
-    routine produced the bundle; verify_solution recomputes them from scratch.
+    Diagnostics are not stored here; verify_solution computes them.
     """
 
     v: tuple[GridFunction, ...]
     spec: SystemSpec
-    residual: float
-    admissibility_margin: float
 
     def __post_init__(self) -> None:
         v = tuple(self.v)

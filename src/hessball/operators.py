@@ -25,21 +25,12 @@ import math
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .core import (
-    GridFunction,
-    SystemSpec,
-    PowerSystemSpec,
-    _as_system,
-    binomial,
-    eval_nonlinearity,
-    grid_points,
-)
+from .core import GridFunction, SystemSpec, _values, eval_nonlinearity, grid_points
 
 __all__ = [
     "QuadratureTable",
     "apply_composite",
     "apply_operator",
-    "hessian_eigenvalue_vector",
     "hessian_eigenvalues",
     "radial_hessian",
 ]
@@ -92,13 +83,7 @@ class QuadratureTable:
         return out
 
 
-def _values(v) -> np.ndarray:
-    return v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
-
-
-def apply_operator(
-    spec: SystemSpec | PowerSystemSpec, i: int, v: GridFunction
-) -> GridFunction:
+def apply_operator(spec: SystemSpec, i: int, v: GridFunction) -> GridFunction:
     """Solution operator of equation i (1-based) applied to the profile v.
 
     v plays the role of the next unknown in the cycle.  The output vanishes
@@ -108,20 +93,19 @@ def apply_operator(
     whenever the forcing vanishes there, so concavity is not guaranteed.
     Negative input samples are rejected.
     """
-    sys_spec = _as_system(spec)
-    if not 1 <= i <= sys_spec.n:
-        raise ValueError(f"equation index {i} outside 1..{sys_spec.n}")
+    if not 1 <= i <= spec.n:
+        raise ValueError(f"equation index {i} outside 1..{spec.n}")
     vals = _values(v)
     if np.any(vals < 0):
         raise ValueError("operator input must be nonnegative")
 
-    N = sys_spec.N
-    k = sys_spec.k[i - 1]
+    N = spec.N
+    k = spec.k[i - 1]
     table = QuadratureTable(vals.size)
     t = table.t
 
-    fvals = np.asarray(eval_nonlinearity(sys_spec.f[i - 1], t, vals), dtype=float)
-    C = binomial(N - 1, k - 1)
+    fvals = np.asarray(eval_nonlinearity(spec.f[i - 1], t, vals), dtype=float)
+    C = math.comb(N - 1, k - 1)
     inner = table.weighted_cumulative(fvals, N - 1) / C
 
     core = np.empty_like(inner)
@@ -139,11 +123,7 @@ def apply_operator(
     return GridFunction(table.tail(core ** (1.0 / k)))
 
 
-def apply_composite(
-    spec: SystemSpec | PowerSystemSpec,
-    v1: GridFunction,
-    return_chain: bool = False,
-):
+def apply_composite(spec: SystemSpec, v1: GridFunction, return_chain: bool = False):
     """Cyclic composition: equation n's operator first, then n-1, ..., then 1.
 
     Feeding v1 (the profile coupled to equation n) through the whole cycle
@@ -151,11 +131,10 @@ def apply_composite(
     the tuple (w1, ..., wn) of all intermediate outputs, where wn is the
     innermost application and w1 the final one.
     """
-    sys_spec = _as_system(spec)
     chain: list[GridFunction] = []
     w = v1
-    for i in range(sys_spec.n, 0, -1):
-        w = apply_operator(sys_spec, i, w)
+    for i in range(spec.n, 0, -1):
+        w = apply_operator(spec, i, w)
         chain.append(w)
     if return_chain:
         return tuple(reversed(chain))
@@ -180,11 +159,11 @@ def _derivatives(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return up, upp
 
 
-def hessian_eigenvalues(u: GridFunction, N: int) -> tuple[np.ndarray, np.ndarray]:
+def hessian_eigenvalues(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (u'', u'/t) on the grid; the radial Hessian's eigenvalue pair.
 
-    The second array carries multiplicity N-1.  At t = 0 both entries reduce
-    to u''(0) by symmetry.
+    In R^N the second array carries multiplicity N-1.  At t = 0 both
+    entries reduce to u''(0) by symmetry.
     """
     vals = _values(u)
     if vals.size < 5:
@@ -198,14 +177,13 @@ def hessian_eigenvalues(u: GridFunction, N: int) -> tuple[np.ndarray, np.ndarray
     return upp, ratio
 
 
-def hessian_eigenvalue_vector(
-    u: GridFunction, N: int, t_index: int
-) -> tuple[float, float]:
-    """The pair (u''(t), u'(t)/t) at one grid index; second entry has multiplicity N-1."""
-    upp, ratio = hessian_eigenvalues(u, N)
-    if not -upp.size <= t_index < upp.size:
-        raise IndexError(f"grid index {t_index} out of range for M={upp.size}")
-    return float(upp[t_index]), float(ratio[t_index])
+def _symmetric_function(a: np.ndarray, b: np.ndarray, l: int, N: int) -> np.ndarray:
+    """l-th elementary symmetric function of the eigenvalues (a, b, ..., b) in R^N.
+
+    b has multiplicity N-1, so the value is C(N-1,l-1) a b^{l-1} + C(N-1,l) b^l;
+    math.comb gives C(N-1, N) = 0, which the l = N case needs.
+    """
+    return math.comb(N - 1, l - 1) * a * b ** (l - 1) + math.comb(N - 1, l) * b**l
 
 
 def radial_hessian(u: GridFunction, k: int, N: int) -> GridFunction:
@@ -218,8 +196,5 @@ def radial_hessian(u: GridFunction, k: int, N: int) -> GridFunction:
     """
     if not 1 <= k <= N:
         raise ValueError(f"degree must satisfy 1 <= k <= N, got k={k}, N={N}")
-    upp, ratio = hessian_eigenvalues(u, N)
-    c1 = binomial(N - 1, k - 1)
-    c2 = math.comb(N - 1, k)  # 0 in the determinant case k = N
-    sk = c1 * upp * ratio ** (k - 1) + c2 * ratio**k
-    return GridFunction(sk)
+    upp, ratio = hessian_eigenvalues(u)
+    return GridFunction(_symmetric_function(upp, ratio, k, N))

@@ -27,19 +27,16 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import admissibility_check, classify_growth, cone_check
+from .analysis import classify_growth, cone_check
 from .core import (
     GridFunction,
     NonlinearitySpec,
-    PowerSystemSpec,
     SolutionBundle,
     SystemSpec,
-    _as_system,
     grid_points,
     sup_norm,
 )
 from .operators import apply_composite
-from .verify import ode_residual
 
 __all__ = [
     "EigenResult",
@@ -50,7 +47,6 @@ __all__ = [
     "lambda_product_check",
     "lambda_product_exponents",
     "lambda_scaled_system",
-    "lambda_scaling_factors",
     "make_bundle",
     "normalized_power_iteration",
     "norm_profile_scan",
@@ -78,7 +74,7 @@ class IterationReport:
     solution: SolutionBundle | None
 
 
-def make_bundle(spec: SystemSpec | PowerSystemSpec, v1: GridFunction) -> SolutionBundle:
+def make_bundle(spec: SystemSpec, v1: GridFunction) -> SolutionBundle:
     """Assemble a SolutionBundle by chaining v1 through every equation.
 
     The stored profiles are the chain outputs themselves (not the raw
@@ -86,26 +82,18 @@ def make_bundle(spec: SystemSpec | PowerSystemSpec, v1: GridFunction) -> Solutio
     equation up to quadrature error; the fixed-point error shows up only in
     the last equation's coupling back to profile 1.
     """
-    sys_spec = _as_system(spec)
-    chain = apply_composite(sys_spec, v1, return_chain=True)
-    residual = float(np.max(ode_residual(sys_spec, chain)))
-    margin = min(
-        admissibility_check(GridFunction(-w.values), sys_spec.k[i], sys_spec.N)
-        for i, w in enumerate(chain)
-    )
-    return SolutionBundle(
-        v=chain, spec=sys_spec, residual=residual, admissibility_margin=margin
-    )
+    chain = apply_composite(spec, v1, return_chain=True)
+    return SolutionBundle(v=chain, spec=spec)
 
 
-def _default_damping(spec: SystemSpec | PowerSystemSpec) -> float:
+def _default_damping(spec: SystemSpec) -> float:
     """Undamped when growth stays below the degrees everywhere, else 0.5."""
     growth = classify_growth(spec)
     return 1.0 if growth.product_beta < growth.product_k else 0.5
 
 
 def picard_solve(
-    spec: SystemSpec | PowerSystemSpec,
+    spec: SystemSpec,
     init: GridFunction,
     damping: float | None = None,
     tol: float = 1e-10,
@@ -118,9 +106,8 @@ def picard_solve(
     geometric decay to zero is reported as collapse, not as convergence to
     the trivial fixed point; divergence trips at norm 1e10.
     """
-    sys_spec = _as_system(spec)
     if damping is None:
-        damping = _default_damping(sys_spec)
+        damping = _default_damping(spec)
     if not 0 < damping <= 1:
         raise ValueError("damping must lie in (0, 1]")
     if tol <= 0:
@@ -135,7 +122,7 @@ def picard_solve(
     status = IterationStatus.MAX_ITER
     iterations = max_iter
     for it in range(1, max_iter + 1):
-        w = apply_composite(sys_spec, GridFunction(v)).values
+        w = apply_composite(spec, GridFunction(v)).values
         new = (1.0 - damping) * v + damping * w
         delta = float(np.max(np.abs(new - v)))
         v = new
@@ -156,7 +143,7 @@ def picard_solve(
 
     solution = None
     if status is IterationStatus.CONVERGED:
-        solution = make_bundle(sys_spec, GridFunction(v))
+        solution = make_bundle(spec, GridFunction(v))
     return IterationReport(
         status=status,
         iterations=iterations,
@@ -183,7 +170,7 @@ class EigenResult:
 
 
 def normalized_power_iteration(
-    spec: SystemSpec | PowerSystemSpec,
+    spec: SystemSpec,
     init: GridFunction,
     tol: float = 1e-10,
     max_iter: int = 500,
@@ -196,12 +183,11 @@ def normalized_power_iteration(
     """
     if not cone_check(init).in_cone or sup_norm(init) == 0:
         raise ValueError("initial profile must be a nonzero cone element")
-    sys_spec = _as_system(spec)
     shape = init.values / sup_norm(init)
     delta = math.inf
     iterations = max_iter
     for it in range(1, max_iter + 1):
-        w = apply_composite(sys_spec, GridFunction(shape)).values
+        w = apply_composite(spec, GridFunction(shape)).values
         norm = float(np.max(np.abs(w)))
         if norm == 0:
             raise ValueError("composite map annihilated the iterate; system is degenerate")
@@ -211,7 +197,7 @@ def normalized_power_iteration(
         if delta <= tol:
             iterations = it
             break
-    mu = sup_norm(apply_composite(sys_spec, GridFunction(shape)))
+    mu = sup_norm(apply_composite(spec, GridFunction(shape)))
     return EigenResult(
         shape=GridFunction(shape),
         mu=mu,
@@ -221,9 +207,7 @@ def normalized_power_iteration(
     )
 
 
-def rescale_to_solution(
-    spec: PowerSystemSpec, eig: EigenResult
-) -> SolutionBundle | None:
+def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | None:
     """Scale the invariant shape to an exact fixed point; None at ratio 1.
 
     Homogeneity gives A(c phi) = c^rho mu phi, so c = mu^{1/(1-rho)} makes
@@ -261,7 +245,7 @@ def _default_shape(M: int) -> np.ndarray:
 
 
 def _pinned_shape(
-    sys_spec: SystemSpec,
+    spec: SystemSpec,
     r: float,
     shape: np.ndarray,
     inner_tol: float,
@@ -270,7 +254,7 @@ def _pinned_shape(
     """Run v <- r A(v)/||A(v)|| to shape convergence; returns (shape, G(r), ok)."""
     ok = False
     for _ in range(max_inner):
-        w = apply_composite(sys_spec, GridFunction(r * shape)).values
+        w = apply_composite(spec, GridFunction(r * shape)).values
         norm = float(np.max(np.abs(w)))
         if norm == 0:
             return shape, 0.0, True
@@ -280,12 +264,12 @@ def _pinned_shape(
         if delta <= inner_tol:
             ok = True
             break
-    G = sup_norm(apply_composite(sys_spec, GridFunction(r * shape)))
+    G = sup_norm(apply_composite(spec, GridFunction(r * shape)))
     return shape, G, ok
 
 
 def _accept_root(
-    sys_spec: SystemSpec,
+    spec: SystemSpec,
     v: np.ndarray,
     tol: float,
     max_steps: int,
@@ -299,10 +283,10 @@ def _accept_root(
     """
     prev_delta = math.inf
     for _ in range(max_steps):
-        w = apply_composite(sys_spec, GridFunction(v)).values
+        w = apply_composite(spec, GridFunction(v)).values
         delta = float(np.max(np.abs(w - v)))
         if delta <= tol * (1.0 + float(np.max(np.abs(v)))):
-            return make_bundle(sys_spec, GridFunction(v))
+            return make_bundle(spec, GridFunction(v))
         if delta >= prev_delta:
             return None
         v, prev_delta = w, delta
@@ -310,7 +294,7 @@ def _accept_root(
 
 
 def norm_profile_scan(
-    spec: SystemSpec | PowerSystemSpec,
+    spec: SystemSpec,
     r_min: float,
     r_max: float,
     points: int,
@@ -331,7 +315,6 @@ def norm_profile_scan(
         raise ValueError("need 0 < r_min < r_max")
     if points < 8:
         raise ValueError("need at least 8 scan points")
-    sys_spec = _as_system(spec)
 
     radii = np.logspace(math.log10(r_min), math.log10(r_max), points)
     values = np.empty(points)
@@ -339,7 +322,7 @@ def norm_profile_scan(
     shapes: list[np.ndarray] = []
     shape = _default_shape(grid_size)
     for j, r in enumerate(radii):
-        shape, G, ok = _pinned_shape(sys_spec, float(r), shape, inner_tol, max_inner)
+        shape, G, ok = _pinned_shape(spec, float(r), shape, inner_tol, max_inner)
         values[j] = G
         converged[j] = ok
         shapes.append(shape)
@@ -362,14 +345,14 @@ def norm_profile_scan(
     solutions: list[SolutionBundle | None] = []
     for (a, b), shape in zip(brackets, bracket_shapes):
         lo, hi = a, b
-        shape_lo, psi_lo, _ = _pinned_shape(sys_spec, lo, shape, inner_tol, max_inner)
+        shape_lo, psi_lo, _ = _pinned_shape(spec, lo, shape, inner_tol, max_inner)
         psi_lo -= lo
         shape = shape_lo
         for _ in range(refine_bits):
             if hi - lo <= 1e-15 * hi:
                 break
             mid = 0.5 * (lo + hi)
-            shape, G_mid, _ = _pinned_shape(sys_spec, mid, shape, inner_tol, max_inner)
+            shape, G_mid, _ = _pinned_shape(spec, mid, shape, inner_tol, max_inner)
             psi_mid = G_mid - mid
             if psi_mid == 0.0:
                 lo = hi = mid
@@ -380,8 +363,8 @@ def norm_profile_scan(
                 hi = mid
         root = 0.5 * (lo + hi)
         roots.append(root)
-        shape, _, _ = _pinned_shape(sys_spec, root, shape, inner_tol, max_inner)
-        solutions.append(_accept_root(sys_spec, root * shape, 1e-8, 50))
+        shape, _, _ = _pinned_shape(spec, root, shape, inner_tol, max_inner)
+        solutions.append(_accept_root(spec, root * shape, 1e-8, 50))
 
     return NormProfile(
         radii=tuple(float(r) for r in radii),
@@ -393,7 +376,7 @@ def norm_profile_scan(
     )
 
 
-def lambda_product_exponents(spec: PowerSystemSpec) -> tuple[float, ...]:
+def lambda_product_exponents(spec: SystemSpec) -> tuple[float, ...]:
     """Exponents e_j collapsing per-equation factors into one product.
 
     Pulling the factor of equation j out through the operators ahead of it
@@ -422,7 +405,7 @@ class LambdaProductCheck:
 
 
 def lambda_product_check(
-    spec: PowerSystemSpec,
+    spec: SystemSpec,
     lam: tuple[float, ...],
     eig: EigenResult,
     rtol: float = 1e-6,
@@ -451,9 +434,7 @@ def lambda_product_check(
     )
 
 
-def lambda_scaled_system(
-    spec: PowerSystemSpec, lam: tuple[float, ...]
-) -> SystemSpec:
+def lambda_scaled_system(spec: SystemSpec, lam: tuple[float, ...]) -> SystemSpec:
     """The same power system with constant factor lambda_j on equation j."""
     if len(lam) != spec.n:
         raise ValueError("need one multiplier per equation")
@@ -468,27 +449,3 @@ def lambda_scaled_system(
         ),
     )
 
-
-def lambda_scaling_factors(
-    spec: PowerSystemSpec, lam: tuple[float, ...]
-) -> tuple[float, ...]:
-    """Per-unknown scale factors absorbing the multipliers into equation 1.
-
-    Replacing u_j by sigma_j u_j (sigma_1 = 1) turns a solution of the
-    multiplied system into one of the system whose only multiplier is the
-    collapsed product on equation 1, and dividing maps back.  sigma_j
-    multiplies lambda_m (m >= j) by the exponent
-    -(gamma_j ... gamma_{m-1})/(k_j ... k_m).
-    """
-    if len(lam) != spec.n:
-        raise ValueError("need one multiplier per equation")
-    n = spec.n
-    sigma = [1.0] * n
-    for j in range(1, n):  # 0-based index of unknown j+1
-        value = 1.0
-        for m in range(j, n):
-            gamma_prod = float(np.prod(spec.gamma[j:m])) if m > j else 1.0
-            k_prod = float(np.prod(spec.k[j : m + 1]))
-            value *= lam[m] ** (-gamma_prod / k_prod)
-        sigma[j] = value
-    return tuple(sigma)

@@ -35,9 +35,6 @@ from .core import (
     GridFunction,
     SolutionBundle,
     SystemSpec,
-    PowerSystemSpec,
-    _as_system,
-    binomial,
     eval_nonlinearity,
     grid_points,
     sup_norm,
@@ -73,22 +70,21 @@ def residual_tolerance(M: int) -> float:
 
 def constant_forcing_solution(N: int, k: int, M: int) -> GridFunction:
     """Exact operator output for unit constant forcing: a scaled 1 - t^2."""
+    if not 1 <= k <= N:
+        raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
     t = grid_points(M)
-    amplitude = (k / (N * binomial(N - 1, k - 1))) ** (1.0 / k)
+    amplitude = (k / (N * math.comb(N - 1, k - 1))) ** (1.0 / k)
     return GridFunction(amplitude * (1.0 - t * t) / 2.0)
 
 
-def ode_residual(
-    spec: SystemSpec | PowerSystemSpec, profiles: Sequence[GridFunction]
-) -> np.ndarray:
+def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarray:
     """Max interior defect of each equation for the given profiles.
 
     Equation i couples to profile i+1 cyclically.  Interior means indices
     2..M-3: the two points nearest each end are excluded so the one-sided
     stencil closures are judged separately as boundary errors.
     """
-    sys_spec = _as_system(spec)
-    if len(profiles) != sys_spec.n:
+    if len(profiles) != spec.n:
         raise ValueError("need one profile per equation")
     M = profiles[0].grid_size
     if any(p.grid_size != M for p in profiles):
@@ -96,15 +92,11 @@ def ode_residual(
     if M < 7:
         raise ValueError("need at least 7 grid points for an interior residual")
     t = grid_points(M)
-    out = np.empty(sys_spec.n)
-    for i in range(sys_spec.n):
-        v_next = profiles[(i + 1) % sys_spec.n]
-        sk = radial_hessian(
-            GridFunction(-profiles[i].values), sys_spec.k[i], sys_spec.N
-        ).values
-        fv = np.asarray(
-            eval_nonlinearity(sys_spec.f[i], t, v_next.values), dtype=float
-        )
+    out = np.empty(spec.n)
+    for i in range(spec.n):
+        v_next = profiles[(i + 1) % spec.n]
+        sk = radial_hessian(GridFunction(-profiles[i].values), spec.k[i], spec.N).values
+        fv = np.asarray(eval_nonlinearity(spec.f[i], t, v_next.values), dtype=float)
         out[i] = float(np.max(np.abs(sk[2 : M - 2] - fv[2 : M - 2])))
     return out
 

@@ -24,7 +24,6 @@ from hessball import (
     SystemSpec,
     apply_composite,
     apply_operator,
-    binomial,
     chain_contraction_bound,
     cone_check,
     grid_points,
@@ -95,7 +94,7 @@ def test_criterion_01_constant_forcing_closed_form():
     for N, k in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
         spec = SystemSpec(N, (k, k), (f, f))
         w = apply_operator(spec, 1, dome(M))
-        amp = (k / (N * binomial(N - 1, k - 1))) ** (1.0 / k)
+        amp = (k / (N * math.comb(N - 1, k - 1))) ** (1.0 / k)
         err = float(np.max(np.abs(w.values - amp * (1.0 - t * t) / 2.0)))
         worst = max(worst, err)
     ok = worst <= 1e-6
@@ -380,7 +379,7 @@ def test_criterion_10_residual_and_admissibility_round_trip():
             if k == spec.N:
                 continue
             # at t = 1 the eigenvalue pair (u'', u'/t) is (u''(1), u'(1))
-            upp, ratio = hessian_eigenvalues(GridFunction(-vi.values), spec.N)
+            upp, ratio = hessian_eigenvalues(GridFunction(-vi.values))
             curvature, slope = float(upp[-1]), float(ratio[-1])
             defect = (
                 abs(curvature + (spec.N - k) / k * slope) / slope

@@ -33,7 +33,8 @@ def uniqueness_config(tmp_path, **overrides):
 class TestLoadConfig:
     def test_power_system(self, tmp_path):
         cfg = load_config(uniqueness_config(tmp_path))
-        assert isinstance(cfg.spec, PowerSystemSpec)
+        assert cfg.spec == PowerSystemSpec(2, (1, 1), (0.5, 0.5))
+        assert cfg.spec.gamma == (0.5, 0.5)
         assert cfg.M == 301 and cfg.starts == 3 and cfg.seed == 4
 
     def test_terms_system(self, tmp_path):
@@ -174,6 +175,61 @@ class TestExitCodes:
             },
         )
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+
+    def test_gamma_and_terms_spellings_agree(self, tmp_path):
+        # v^{1/2} written as a pure power and as one explicit term
+        outs = []
+        for name, system in (
+            ("gamma", {"gamma": [0.5, 0.5]}),
+            ("terms", {"terms": [[[1, 0, 0.5]], [[1, 0, 0.5]]]}),
+        ):
+            data = {
+                "scenario": "uniqueness",
+                "N": 2,
+                "k": [1, 1],
+                "M": 301,
+                "starts": 3,
+                "points": 16,
+                "seed": 4,
+                **system,
+            }
+            out = tmp_path / name
+            path = write_config(tmp_path, f"{name}.json", data)
+            assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+            outs.append(out)
+        for fname in ("report.jsonl", "solution_1.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize(
+        "system,expected",
+        [
+            ({"N": 2, "k": [1, 1], "gamma": [0.5, 0.5]}, "picard"),
+            (
+                {"N": 2, "k": [1, 1], "terms": MULT_TERMS, "points": 24,
+                 "r_min": 1e-4, "r_max": 1e4},
+                2,
+            ),
+            ({"N": 3, "k": [1, 1], "gamma": [2, 2], "points": 16}, 1),
+        ],
+        ids=["C1-picard", "C3-scan", "C2-scan"],
+    )
+    def test_existence_succeeds(self, tmp_path, system, expected):
+        path = write_config(
+            tmp_path, "x.json", {"scenario": "existence", "M": 301, **system}
+        )
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        records = {
+            rec["kind"]: rec
+            for rec in map(json.loads, (out / "report.jsonl").read_text().splitlines())
+        }
+        if expected == "picard":
+            assert records["picard"]["pass"] is True
+            assert records["verification_1"]["pass"] is True
+        else:
+            assert records["solutions_found"]["values"]["count"] == expected
+            assert records["solutions_found"]["pass"] is True
+        assert (out / "solution_1.csv").exists()
 
     def test_uniqueness_needs_sublinear_ratio(self, tmp_path):
         path = uniqueness_config(tmp_path, gamma=[1, 1])

@@ -11,36 +11,14 @@ from hessball import (
     PowerSystemSpec,
     SolutionBundle,
     SystemSpec,
-    binomial,
     eval_nonlinearity,
     grid_points,
+    lambda_scaled_system,
     sup_norm,
 )
 
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(2, 1) == 2
-        assert binomial(1, 1) == 1
-        assert binomial(4, 2) == 6
-        assert binomial(0, 0) == 1
-        assert binomial(5, 0) == 1
-        assert binomial(5, 5) == 1
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-        with pytest.raises(ValueError):
-            binomial(2, 3)
-
-    @given(st.integers(1, 20), st.integers(1, 20))
-    def test_pascal_recurrence(self, a, b):
-        b = min(b, a)
-        assert binomial(a, b) == binomial(a - 1, b - 1) + (
-            binomial(a - 1, b) if b <= a - 1 else 0
-        )
+# the two-solution forcing 0.1 v^0.5 + 0.1 v^3 on both equations
+MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
 
 
 class TestGrid:
@@ -220,15 +198,20 @@ class TestPowerSystemSpec:
         spec = PowerSystemSpec(3, (2, 2), (0.5, 2.0))
         assert spec.homogeneity_ratio == 0.25
 
-    def test_as_system_round_trip(self):
+    def test_power_system_is_a_system_spec(self):
         spec = PowerSystemSpec(2, (1, 2), (1.5, 0.5))
-        sys_spec = spec.as_system()
-        assert isinstance(sys_spec, SystemSpec)
-        assert sys_spec.N == 2 and sys_spec.k == (1, 2)
-        assert [f.terms for f in sys_spec.f] == [
-            ((1.0, 0.0, 1.5),),
-            ((1.0, 0.0, 0.5),),
-        ]
+        assert spec == SystemSpec(
+            2,
+            (1, 2),
+            (NonlinearitySpec(((1.0, 0.0, 1.5),)), NonlinearitySpec(((1.0, 0.0, 0.5),))),
+        )
+        assert spec.gamma == (1.5, 0.5)
+        # two terms per forcing: not a pure-power system
+        mult = SystemSpec(2, (1, 1), tuple(NonlinearitySpec(eq) for eq in MULT_TERMS))
+        assert mult.gamma is None and mult.homogeneity_ratio is None
+        # a constant factor other than 1 leaves the pure-power family
+        scaled = lambda_scaled_system(PowerSystemSpec(3, (1, 1), (1.0, 1.0)), (2.0, 1.0))
+        assert scaled.gamma is None
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -253,8 +236,6 @@ class TestSolutionBundle:
         b = SolutionBundle(
             v=(self._profile(), self._profile()),
             spec=self._spec(),
-            residual=0.5,
-            admissibility_margin=0.1,
         )
         assert b.grid_size == 11
 
@@ -265,8 +246,6 @@ class TestSolutionBundle:
             SolutionBundle(
                 v=(self._profile(), bad),
                 spec=self._spec(),
-                residual=0.0,
-                admissibility_margin=0.0,
             )
 
     def test_profiles_must_share_grid(self):
@@ -274,8 +253,6 @@ class TestSolutionBundle:
             SolutionBundle(
                 v=(self._profile(11), self._profile(21)),
                 spec=self._spec(),
-                residual=0.0,
-                admissibility_margin=0.0,
             )
 
     def test_profile_count_matches_system(self):
@@ -283,8 +260,6 @@ class TestSolutionBundle:
             SolutionBundle(
                 v=(self._profile(),),
                 spec=self._spec(),
-                residual=0.0,
-                admissibility_margin=0.0,
             )
 
     def test_negative_profile_rejected(self):
@@ -293,6 +268,4 @@ class TestSolutionBundle:
             SolutionBundle(
                 v=(self._profile(), GridFunction(-(1.0 - t * t))),
                 spec=self._spec(),
-                residual=0.0,
-                admissibility_margin=0.0,
             )

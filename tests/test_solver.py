@@ -19,11 +19,9 @@ from hessball import (
     lambda_product_check,
     lambda_product_exponents,
     lambda_scaled_system,
-    lambda_scaling_factors,
     make_bundle,
     norm_profile_scan,
     normalized_power_iteration,
-    ode_residual,
     picard_solve,
     rescale_to_solution,
     sup_norm,
@@ -47,7 +45,6 @@ class TestMakeBundle:
         chain = apply_composite(SUBLINEAR, v1, return_chain=True)
         for stored, computed in zip(bundle.v, chain):
             np.testing.assert_array_equal(stored.values, computed.values)
-        assert bundle.residual == float(np.max(ode_residual(SUBLINEAR, chain)))
 
 
 class TestPicardSolve:
@@ -277,18 +274,11 @@ class TestLambdaMachinery:
     def test_scaling_factors_absorb_multipliers(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(401), tol=1e-12)
         lam = (1.0, eig.lambda0)
-        sigma = lambda_scaling_factors(LAPLACE_3D, lam)
-        assert sigma[0] == 1.0
-        assert abs(sigma[1] * eig.lambda0 - 1.0) < 1e-14
         # after the substitution the only multiplier is the collapsed product
         product = lambda_product_check(LAPLACE_3D, lam, eig).product
         single = lambda_scaled_system(LAPLACE_3D, (product, 1.0))
         w = apply_composite(single, eig.shape)
         assert float(np.max(np.abs(w.values - eig.shape.values))) < 1e-9
-
-    def test_scaling_factor_domain(self):
-        with pytest.raises(ValueError):
-            lambda_scaling_factors(LAPLACE_3D, (1.0,))
 
 
 class TestCompositeMonotonicity:

@@ -61,6 +61,12 @@ class TestConstantForcingSolution:
         ref = constant_forcing_solution(3, 2, M)
         np.testing.assert_allclose(w.values, ref.values, atol=1e-13)
 
+    def test_degree_validation(self):
+        with pytest.raises(ValueError):
+            constant_forcing_solution(2, 3, 11)
+        with pytest.raises(ValueError):
+            constant_forcing_solution(2, 0, 11)
+
 
 class TestOdeResidual:
     def test_exact_solution_has_tiny_residual(self):
@@ -100,12 +106,7 @@ class TestVerifySolution:
     def test_zero_bundle_passes(self):
         spec = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
         zeros = GridFunction(np.zeros(101))
-        bundle = SolutionBundle(
-            v=(zeros, zeros),
-            spec=spec.as_system(),
-            residual=0.0,
-            admissibility_margin=0.0,
-        )
+        bundle = SolutionBundle(v=(zeros, zeros), spec=spec)
         report = verify_solution(bundle)
         assert report.passed
 
@@ -113,12 +114,7 @@ class TestVerifySolution:
         good = make_bundle(constant_system(), dome(201))
         vals = good.v[0].values.copy()
         vals[100] += 0.01
-        bad = SolutionBundle(
-            v=(GridFunction(vals), good.v[1]),
-            spec=good.spec,
-            residual=good.residual,
-            admissibility_margin=good.admissibility_margin,
-        )
+        bad = SolutionBundle(v=(GridFunction(vals), good.v[1]), spec=good.spec)
         report = verify_solution(bad)
         assert not report.passed
         assert max(report.max_residual) > 1.0
@@ -126,21 +122,14 @@ class TestVerifySolution:
     def test_nonzero_origin_slope_fails(self):
         t = grid_points(201)
         tent = GridFunction(1.0 - t)
-        bundle = SolutionBundle(
-            v=(tent, tent),
-            spec=constant_system(),
-            residual=0.0,
-            admissibility_margin=0.0,
-        )
+        bundle = SolutionBundle(v=(tent, tent), spec=constant_system())
         report = verify_solution(bundle)
         assert not report.passed
         # slope at the origin shows up as the second boundary entry
         assert report.boundary_errors[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_tol_override(self):
-        bundle = make_bundle(
-            PowerSystemSpec(2, (1, 1), (0.5, 0.5)).as_system(), dome(201)
-        )
+        bundle = make_bundle(PowerSystemSpec(2, (1, 1), (0.5, 0.5)), dome(201))
         loose = verify_solution(bundle, tol=10.0)
         tight = verify_solution(bundle, tol=1e-20)
         assert loose.residual_tol == 10.0
