@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .core import (
     GridFunction,
     NonlinearitySpec,
     SystemSpec,
+    _power_exponents,
     _values,
     eval_nonlinearity,
     grid_points,
@@ -54,6 +54,7 @@ __all__ = [
 
 WINDOW = (0.25, 0.75)
 WINDOW_FRACTION = 0.25
+THRESHOLD_T_POINTS = 64  # t grid of the threshold chains' box extrema
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def lower_bound_constant(k: int, N: int, M: int = 4001) -> float:
     inner = (tau**N - 0.25**N) / (N * C)
     kernel = (k * inner / tau ** (N - k)) ** (1.0 / k)
     integrand = kernel * 0.5 * k * s ** (k - 1)
-    return float(trapezoid(integrand, s))
+    return float(np.sum(np.diff(s) * (integrand[1:] + integrand[:-1]) / 2.0))
 
 
 def upper_bound_prefactor(k: int, N: int) -> float:
@@ -208,11 +209,12 @@ def chain_contraction_bound(spec: SystemSpec) -> float:
     this number bounds the contraction factor of the composite map and is
     strictly below 1, which is what rules out nonzero fixed points.
     """
+    gamma = _power_exponents(spec, "chain_contraction_bound")
     bound = 1.0
     exponent = 1.0
     for j in range(spec.n):
         bound *= upper_bound_prefactor(spec.k[j], spec.N) ** exponent
-        exponent *= spec.gamma[j] / spec.k[j]
+        exponent *= gamma[j] / spec.k[j]
     return bound
 
 
@@ -359,13 +361,13 @@ class ThresholdReport:
     R0_condition: bool | None
 
 
-def _box_sup(f: NonlinearitySpec, t_lo: float, t_hi: float, v_hi: float, t_points: int) -> float:
-    tgrid = np.linspace(t_lo, t_hi, t_points)
+def _box_sup(f: NonlinearitySpec, t_lo: float, t_hi: float, v_hi: float) -> float:
+    tgrid = np.linspace(t_lo, t_hi, THRESHOLD_T_POINTS)
     return float(np.max(eval_nonlinearity(f, tgrid, np.full_like(tgrid, v_hi))))
 
 
-def _box_inf(f: NonlinearitySpec, t_lo: float, t_hi: float, v_lo: float, t_points: int) -> float:
-    tgrid = np.linspace(t_lo, t_hi, t_points)
+def _box_inf(f: NonlinearitySpec, t_lo: float, t_hi: float, v_lo: float) -> float:
+    tgrid = np.linspace(t_lo, t_hi, THRESHOLD_T_POINTS)
     return float(np.min(eval_nonlinearity(f, tgrid, np.full_like(tgrid, v_lo))))
 
 
@@ -373,13 +375,12 @@ def multiplicity_thresholds(
     spec: SystemSpec,
     r0: float | None = None,
     R0: float | None = None,
-    t_points: int = 64,
 ) -> ThresholdReport:
     """Evaluate the threshold chains for the given anchor radii.
 
     The forcing family is nondecreasing in v, so box extrema over v sit at
-    the corners; the t dependence is scanned on a t_points grid.  Either
-    anchor may be omitted; a nonpositive anchor is a domain error.
+    the corners; the t dependence is scanned on a THRESHOLD_T_POINTS grid.
+    Either anchor may be omitted; a nonpositive anchor is a domain error.
     """
     if r0 is None and R0 is None:
         raise ValueError("need at least one of r0, R0")
@@ -395,9 +396,9 @@ def multiplicity_thresholds(
     r0_condition = None
     if r0 is not None:
         g = [0.0] * n
-        g[n - 1] = _box_sup(f[n - 1], 0.0, 1.0, r0 / 4.0, t_points)
+        g[n - 1] = _box_sup(f[n - 1], 0.0, 1.0, r0 / 4.0)
         for i in range(n - 2, -1, -1):
-            g[i] = _box_sup(f[i], 0.0, 1.0, g[i + 1] ** (1.0 / k[i + 1]), t_points)
+            g[i] = _box_sup(f[i], 0.0, 1.0, g[i + 1] ** (1.0 / k[i + 1]))
         sup_chain = tuple(g)
         r0_condition = bool(r0 > g[0] ** (1.0 / k[0]))
 
@@ -406,15 +407,15 @@ def multiplicity_thresholds(
     R0_condition = None
     if R0 is not None:
         gt = [0.0] * n  # index 0 unused; entries for equations 2..n
-        gt[n - 1] = _box_sup(f[n - 1], 0.0, 1.0, R0, t_points)
+        gt[n - 1] = _box_sup(f[n - 1], 0.0, 1.0, R0)
         for i in range(n - 2, 0, -1):
-            gt[i] = _box_sup(f[i], 0.0, 1.0, gt[i + 1] ** (1.0 / k[i + 1]), t_points)
+            gt[i] = _box_sup(f[i], 0.0, 1.0, gt[i + 1] ** (1.0 / k[i + 1]))
         e = [0.0] * n
-        e[n - 1] = _box_inf(f[n - 1], *WINDOW, R0 / 4.0, t_points)
+        e[n - 1] = _box_inf(f[n - 1], *WINDOW, R0 / 4.0)
         for i in range(n - 2, -1, -1):
             gamma_next = lower_bound_constant(k[i + 1], spec.N)
             v_lo = 0.25 * gamma_next * e[i + 1] ** (1.0 / k[i + 1])
-            e[i] = _box_inf(f[i], *WINDOW, v_lo, t_points)
+            e[i] = _box_inf(f[i], *WINDOW, v_lo)
         sup_at_R0 = tuple(gt[1:])
         inf_chain = tuple(e)
         gamma_1 = lower_bound_constant(k[0], spec.N)
@@ -457,6 +458,7 @@ def sublinearity_check(
     spec: SystemSpec, v: GridFunction, xi: float
 ) -> SublinearityReport:
     """Measure the comparison sandwich and the strict downscaling gain."""
+    _power_exponents(spec, "sublinearity_check")
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
     if sup_norm(v) == 0:

@@ -187,6 +187,14 @@ class SystemSpec:
         return float(np.prod(gamma) / np.prod(self.k))
 
 
+def _power_exponents(spec: SystemSpec, what: str) -> tuple[float, ...]:
+    """spec.gamma, or a ValueError saying that `what` needs a pure-power system."""
+    gamma = spec.gamma
+    if gamma is None:
+        raise ValueError(f"{what} needs a pure-power system (every forcing v**gamma_i)")
+    return gamma
+
+
 def PowerSystemSpec(N: int, k: tuple[int, ...], gamma: tuple[float, ...]) -> SystemSpec:
     """Pure-power system: the SystemSpec whose forcing of equation i is v**gamma_i."""
     gamma = tuple(float(g) for g in gamma)

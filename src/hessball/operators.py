@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import GridFunction, SystemSpec, _values, eval_nonlinearity, grid_points
 
@@ -41,7 +40,7 @@ NEGATIVE_ROUNDOFF_FLOOR = -1e-14
 
 
 class QuadratureTable:
-    """Immutable per-grid helpers for cumulative and tail trapezoid sums."""
+    """Immutable per-grid helpers for weighted cumulative and tail trapezoid sums."""
 
     __slots__ = ("M", "h", "t")
 
@@ -52,13 +51,11 @@ class QuadratureTable:
         self.h = 1.0 / (M - 1)
         self.t = grid_points(M)
 
-    def cumulative(self, y: np.ndarray) -> np.ndarray:
-        """Trapezoid integral from 0 to t_j for every j; leading entry 0."""
-        return cumulative_trapezoid(y, dx=self.h, initial=0.0)
-
     def tail(self, y: np.ndarray) -> np.ndarray:
         """Trapezoid integral from t_j to 1 for every j; last entry exactly 0."""
-        cum = self.cumulative(y)
+        cum = np.empty(self.M)
+        cum[0] = 0.0
+        np.cumsum(self.h * (y[1:] + y[:-1]) / 2.0, out=cum[1:])
         return cum[-1] - cum
 
     def weighted_cumulative(self, y: np.ndarray, power: int) -> np.ndarray:

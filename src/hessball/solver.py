@@ -33,6 +33,7 @@ from .core import (
     NonlinearitySpec,
     SolutionBundle,
     SystemSpec,
+    _power_exponents,
     grid_points,
     sup_norm,
 )
@@ -56,6 +57,11 @@ __all__ = [
 
 COLLAPSE_RELATIVE = 1e-10
 DIVERGENCE_NORM = 1e10
+POWER_MAX_ITER = 500
+SCAN_INNER_TOL = 1e-10
+SCAN_MAX_INNER = 300
+SCAN_REFINE_BITS = 60
+ACCEPT_DEFECT = 1e-8
 
 
 class IterationStatus(str, Enum):
@@ -169,11 +175,38 @@ class EigenResult:
     iterations: int
 
 
+def _shape_iteration(
+    spec: SystemSpec,
+    r: float,
+    shape: np.ndarray,
+    tol: float = SCAN_INNER_TOL,
+    max_iter: int = SCAN_MAX_INNER,
+) -> tuple[np.ndarray, float, float, int]:
+    """Run v <- r A(v)/||A(v)|| to shape tolerance, then read G = ||A(r v)||.
+
+    Returns (shape, G, delta, iterations), where delta is the last shape
+    change.  An annihilated iterate (A(r v) = 0) returns G = 0 and
+    delta = inf, so it never counts as converged.
+    """
+    delta = math.inf
+    for it in range(1, max_iter + 1):
+        w = apply_composite(spec, GridFunction(r * shape)).values
+        norm = float(np.max(np.abs(w)))
+        if norm == 0:
+            return shape, 0.0, math.inf, it
+        new_shape = w / norm
+        delta = float(np.max(np.abs(new_shape - shape)))
+        shape = new_shape
+        if delta <= tol:
+            break
+    G = sup_norm(apply_composite(spec, GridFunction(r * shape)))
+    return shape, G, delta, it
+
+
 def normalized_power_iteration(
     spec: SystemSpec,
     init: GridFunction,
     tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> EigenResult:
     """Iterate v <- A(v)/||A(v)|| to the invariant shape.
 
@@ -183,21 +216,11 @@ def normalized_power_iteration(
     """
     if not cone_check(init).in_cone or sup_norm(init) == 0:
         raise ValueError("initial profile must be a nonzero cone element")
-    shape = init.values / sup_norm(init)
-    delta = math.inf
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
-        w = apply_composite(spec, GridFunction(shape)).values
-        norm = float(np.max(np.abs(w)))
-        if norm == 0:
-            raise ValueError("composite map annihilated the iterate; system is degenerate")
-        new_shape = w / norm
-        delta = float(np.max(np.abs(new_shape - shape)))
-        shape = new_shape
-        if delta <= tol:
-            iterations = it
-            break
-    mu = sup_norm(apply_composite(spec, GridFunction(shape)))
+    shape, mu, delta, iterations = _shape_iteration(
+        spec, 1.0, init.values / sup_norm(init), tol, POWER_MAX_ITER
+    )
+    if mu == 0:
+        raise ValueError("composite map annihilated the iterate; system is degenerate")
     return EigenResult(
         shape=GridFunction(shape),
         mu=mu,
@@ -214,6 +237,7 @@ def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | 
     c phi a fixed point in the continuum.  At rho = 1 no scale works unless
     mu = 1 exactly, which is the eigenvalue situation, so None is returned.
     """
+    _power_exponents(spec, "rescale_to_solution")
     rho = spec.homogeneity_ratio
     if rho == 1.0:
         return None
@@ -228,7 +252,8 @@ class NormProfile:
     sign_changes holds the bracketing radius intervals where G(r) - r
     changes sign; roots the bisection-refined crossing radii; solutions the
     defect-accepted bundle for each root (None where acceptance failed).
-    converged marks radii whose inner shape iteration met its tolerance.
+    converged marks radii whose inner shape iteration met its tolerance;
+    a radius where the map annihilates the profile never does.
     """
 
     radii: tuple[float, ...]
@@ -244,72 +269,23 @@ def _default_shape(M: int) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _pinned_shape(
-    spec: SystemSpec,
-    r: float,
-    shape: np.ndarray,
-    inner_tol: float,
-    max_inner: int,
-) -> tuple[np.ndarray, float, bool]:
-    """Run v <- r A(v)/||A(v)|| to shape convergence; returns (shape, G(r), ok)."""
-    ok = False
-    for _ in range(max_inner):
-        w = apply_composite(spec, GridFunction(r * shape)).values
-        norm = float(np.max(np.abs(w)))
-        if norm == 0:
-            return shape, 0.0, True
-        new_shape = w / norm
-        delta = float(np.max(np.abs(new_shape - shape)))
-        shape = new_shape
-        if delta <= inner_tol:
-            ok = True
-            break
-    G = sup_norm(apply_composite(spec, GridFunction(r * shape)))
-    return shape, G, ok
-
-
-def _accept_root(
-    spec: SystemSpec,
-    v: np.ndarray,
-    tol: float,
-    max_steps: int,
-) -> SolutionBundle | None:
-    """Bundle a scan root once its fixed-point defect is below tol.
-
-    Deliberately not picard_solve: a root can be repelling, and its profile
-    can sit outside the cone (steeply decreasing forcing bends the tail
-    convex), so no damped march and no cone gate.  Plain map steps are taken
-    only while they shrink the defect.
-    """
-    prev_delta = math.inf
-    for _ in range(max_steps):
-        w = apply_composite(spec, GridFunction(v)).values
-        delta = float(np.max(np.abs(w - v)))
-        if delta <= tol * (1.0 + float(np.max(np.abs(v)))):
-            return make_bundle(spec, GridFunction(v))
-        if delta >= prev_delta:
-            return None
-        v, prev_delta = w, delta
-    return None
-
-
 def norm_profile_scan(
     spec: SystemSpec,
     r_min: float,
     r_max: float,
     points: int,
-    inner_tol: float = 1e-10,
-    max_inner: int = 300,
     grid_size: int = 1001,
-    refine_bits: int = 60,
 ) -> NormProfile:
     """Profile the composite map's norm response over log-spaced radii.
 
     Every root of G(r) - r is a candidate solution norm.  Each detected
     sign-change interval is narrowed by bisection (the shape is warm-started
-    across evaluations, so the per-step cost stays low) and the profile at
-    the refined radius is accepted as a solution once its fixed-point defect
-    is small.
+    across evaluations, so the per-step cost stays low).  The profile v at
+    the refined radius is bundled, and the bundle is accepted as a solution
+    when its fixed-point defect ||A(v) - v|| is small.  Deliberately not
+    picard_solve: a root can be repelling, and its profile can sit outside
+    the cone (steeply decreasing forcing bends the tail convex), so no march
+    and no cone gate.
     """
     if not 0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
@@ -322,9 +298,9 @@ def norm_profile_scan(
     shapes: list[np.ndarray] = []
     shape = _default_shape(grid_size)
     for j, r in enumerate(radii):
-        shape, G, ok = _pinned_shape(spec, float(r), shape, inner_tol, max_inner)
+        shape, G, delta, _ = _shape_iteration(spec, float(r), shape)
         values[j] = G
-        converged[j] = ok
+        converged[j] = delta <= SCAN_INNER_TOL
         shapes.append(shape)
 
     psi = values - radii
@@ -337,7 +313,7 @@ def norm_profile_scan(
         elif psi[j] * psi[j + 1] < 0.0:
             brackets.append((float(radii[j]), float(radii[j + 1])))
             bracket_shapes.append(shapes[j])
-    if points >= 1 and psi[-1] == 0.0:
+    if psi[-1] == 0.0:
         brackets.append((float(radii[-1]), float(radii[-1])))
         bracket_shapes.append(shapes[-1])
 
@@ -345,14 +321,13 @@ def norm_profile_scan(
     solutions: list[SolutionBundle | None] = []
     for (a, b), shape in zip(brackets, bracket_shapes):
         lo, hi = a, b
-        shape_lo, psi_lo, _ = _pinned_shape(spec, lo, shape, inner_tol, max_inner)
+        shape, psi_lo, _, _ = _shape_iteration(spec, lo, shape)
         psi_lo -= lo
-        shape = shape_lo
-        for _ in range(refine_bits):
+        for _ in range(SCAN_REFINE_BITS):
             if hi - lo <= 1e-15 * hi:
                 break
             mid = 0.5 * (lo + hi)
-            shape, G_mid, _ = _pinned_shape(spec, mid, shape, inner_tol, max_inner)
+            shape, G_mid, _, _ = _shape_iteration(spec, mid, shape)
             psi_mid = G_mid - mid
             if psi_mid == 0.0:
                 lo = hi = mid
@@ -363,8 +338,12 @@ def norm_profile_scan(
                 hi = mid
         root = 0.5 * (lo + hi)
         roots.append(root)
-        shape, _, _ = _pinned_shape(spec, root, shape, inner_tol, max_inner)
-        solutions.append(_accept_root(spec, root * shape, 1e-8, 50))
+        shape, _, _, _ = _shape_iteration(spec, root, shape)
+        v = root * shape
+        bundle = make_bundle(spec, GridFunction(v))
+        defect = float(np.max(np.abs(bundle.v[0].values - v)))
+        accepted = defect <= ACCEPT_DEFECT * (1.0 + float(np.max(np.abs(v))))
+        solutions.append(bundle if accepted else None)
 
     return NormProfile(
         radii=tuple(float(r) for r in radii),
@@ -384,9 +363,10 @@ def lambda_product_exponents(spec: SystemSpec) -> tuple[float, ...]:
     condition therefore reads prod_j lambda_j^{e_j} = lambda0^{k_1} with
     e_1 = 1 and e_j = (gamma_1 ... gamma_{j-1}) / (k_2 ... k_j).
     """
+    gamma = _power_exponents(spec, "lambda_product_exponents")
     e = [1.0]
     for j in range(1, spec.n):
-        e.append(e[-1] * spec.gamma[j - 1] / spec.k[j])
+        e.append(e[-1] * gamma[j - 1] / spec.k[j])
     return tuple(e)
 
 
@@ -415,6 +395,7 @@ def lambda_product_check(
     Valid only at homogeneity ratio 1, where scale invariance makes the
     existence question a pure number comparison.
     """
+    _power_exponents(spec, "lambda_product_check")
     if not math.isclose(spec.homogeneity_ratio, 1.0, rel_tol=0, abs_tol=1e-12):
         raise ValueError("multiplier product check requires homogeneity ratio 1")
     if len(lam) != spec.n:
@@ -436,6 +417,7 @@ def lambda_product_check(
 
 def lambda_scaled_system(spec: SystemSpec, lam: tuple[float, ...]) -> SystemSpec:
     """The same power system with constant factor lambda_j on equation j."""
+    gamma = _power_exponents(spec, "lambda_scaled_system")
     if len(lam) != spec.n:
         raise ValueError("need one multiplier per equation")
     if any(l <= 0 or not math.isfinite(l) for l in lam):
@@ -445,7 +427,7 @@ def lambda_scaled_system(spec: SystemSpec, lam: tuple[float, ...]) -> SystemSpec
         spec.k,
         tuple(
             NonlinearitySpec(((float(l), 0.0, g),))
-            for l, g in zip(lam, spec.gamma)
+            for l, g in zip(lam, gamma)
         ),
     )
 

@@ -97,6 +97,20 @@ class TestLowerBoundConstant:
         )
         assert not rep.saturated and rep.order >= 1.9
 
+    @pytest.mark.parametrize("M", [251, 501, 801, 1001, 2001, 4001])
+    def test_matches_scipy_trapezoid_bit_for_bit(self, M):
+        integrate = pytest.importorskip("scipy.integrate")
+        s = np.linspace(0.0, 1.0, M)
+        for N in range(1, 9):
+            for k in range(1, N + 1):
+                # the integrand of lower_bound_constant, term for term
+                tau = 0.25 + 0.5 * s**k
+                inner = (tau**N - 0.25**N) / (N * math.comb(N - 1, k - 1))
+                kernel = (k * inner / tau ** (N - k)) ** (1.0 / k)
+                integrand = kernel * 0.5 * k * s ** (k - 1)
+                ref = float(integrate.trapezoid(integrand, s))
+                assert lower_bound_constant(k, N, M) == ref, (k, N)
+
     def test_linear_case_is_exact(self):
         rep = richardson_order(
             lambda M: lower_bound_constant(1, 1, M) - 0.125, (251, 501, 1001)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hessball
 from hessball import PowerSystemSpec, SystemSpec
 from hessball.cli import ConfigError, load_config, main, run_scenario
 
@@ -230,6 +235,31 @@ class TestExitCodes:
             assert records["solutions_found"]["values"]["count"] == expected
             assert records["solutions_found"]["pass"] is True
         assert (out / "solution_1.csv").exists()
+
+    def test_scenario_loads_no_scipy(self, tmp_path):
+        # scipy is only the tests' reference, so the check needs a fresh
+        # interpreter: this one has imported scipy already.
+        path = write_config(
+            tmp_path,
+            "x.json",
+            {"scenario": "existence", "N": 3, "k": [1, 1], "gamma": [2, 2],
+             "M": 301, "points": 16},
+        )
+        script = (
+            "import sys\n"
+            "from hessball.cli import main\n"
+            "code = main(['run', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        src = str(Path(hessball.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-c", script, path, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "[]"]
 
     def test_uniqueness_needs_sublinear_ratio(self, tmp_path):
         path = uniqueness_config(tmp_path, gamma=[1, 1])

@@ -41,10 +41,6 @@ class TestQuadratureTable:
         with pytest.raises(ValueError):
             QuadratureTable(2)
 
-    def test_cumulative_of_ones(self):
-        table = QuadratureTable(101)
-        np.testing.assert_allclose(table.cumulative(np.ones(101)), table.t)
-
     def test_tail_of_ones(self):
         table = QuadratureTable(101)
         tail = table.tail(np.ones(101))
@@ -68,9 +64,18 @@ class TestQuadratureTable:
     def test_weight_power_zero_is_plain_trapezoid(self):
         table = QuadratureTable(64)
         y = np.cos(3.0 * table.t) + 1.5
+        tail = table.tail(y)
         np.testing.assert_allclose(
-            table.weighted_cumulative(y, 0), table.cumulative(y), atol=1e-14
+            table.weighted_cumulative(y, 0), tail[0] - tail, atol=1e-14
         )
+
+    @pytest.mark.parametrize("M", [5, 64, 301, 1001, 4001, 64001])
+    def test_tail_matches_scipy_bit_for_bit(self, M):
+        integrate = pytest.importorskip("scipy.integrate")
+        table = QuadratureTable(M)
+        y = np.sqrt(table.t) * np.cos(3.0 * table.t) + 1.5
+        c = integrate.cumulative_trapezoid(y, dx=1.0 / (M - 1), initial=0)
+        np.testing.assert_array_equal(table.tail(y), c[-1] - c)
 
 
 class TestApplyOperator:

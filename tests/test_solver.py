@@ -14,6 +14,7 @@ from hessball import (
     SystemSpec,
     apply_composite,
     apply_operator,
+    chain_contraction_bound,
     cone_check,
     grid_points,
     lambda_product_check,
@@ -24,6 +25,7 @@ from hessball import (
     normalized_power_iteration,
     picard_solve,
     rescale_to_solution,
+    sublinearity_check,
     sup_norm,
     verify_solution,
 )
@@ -209,6 +211,13 @@ class TestNormProfileScan:
         assert np.all(ratios < 1.0)
         assert np.ptp(ratios) < 1e-6
 
+    def test_annihilated_radii_are_not_converged(self):
+        # at norms near 1e-200 the cube underflows: A(r shape) is exactly 0
+        spec = PowerSystemSpec(2, (1, 1), (3.0, 3.0))
+        prof = norm_profile_scan(spec, 1e-200, 1e-190, 8, grid_size=101)
+        assert prof.values == (0.0,) * 8
+        assert prof.converged == (False,) * 8
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             norm_profile_scan(SUBLINEAR, 0.0, 1.0, 16)
@@ -279,6 +288,38 @@ class TestLambdaMachinery:
         single = lambda_scaled_system(LAPLACE_3D, (product, 1.0))
         w = apply_composite(single, eig.shape)
         assert float(np.max(np.abs(w.values - eig.shape.values))) < 1e-9
+
+
+class TestPurePowerPreconditions:
+    # 2 v^0.5 is a power of v, but not exactly v**gamma, so spec.gamma is None
+    TWO_ROOT = SystemSpec(2, (1, 1), (NonlinearitySpec(((2.0, 0.0, 0.5),)),) * 2)
+    EIG = EigenResult(
+        shape=dome(101), mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1
+    )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, eig: rescale_to_solution(spec, eig),
+            lambda spec, eig: lambda_product_exponents(spec),
+            lambda spec, eig: lambda_product_check(spec, (1.0, 1.0), eig),
+            lambda spec, eig: lambda_scaled_system(spec, (1.0, 1.0)),
+            lambda spec, eig: sublinearity_check(spec, dome(101), 0.5),
+            lambda spec, eig: chain_contraction_bound(spec),
+        ],
+        ids=[
+            "rescale_to_solution",
+            "lambda_product_exponents",
+            "lambda_product_check",
+            "lambda_scaled_system",
+            "sublinearity_check",
+            "chain_contraction_bound",
+        ],
+    )
+    def test_needs_a_pure_power_system(self, call):
+        assert self.TWO_ROOT.gamma is None
+        with pytest.raises(ValueError, match="needs a pure-power system"):
+            call(self.TWO_ROOT, self.EIG)
 
 
 class TestCompositeMonotonicity:
