@@ -55,6 +55,8 @@ __all__ = [
 WINDOW = (0.25, 0.75)
 WINDOW_FRACTION = 0.25
 THRESHOLD_T_POINTS = 64  # t grid of the threshold chains' box extrema
+CONE_TOL = 1e-10  # round-off slack on both cone inequalities
+BOUND_TOL = 1e-8  # slack of the lower and upper operator bound checks
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,12 @@ def _window_slice(t: np.ndarray) -> np.ndarray:
     return (t >= WINDOW[0] - 1e-12) & (t <= WINDOW[1] + 1e-12)
 
 
-def cone_check(v: GridFunction | np.ndarray, tol: float = 1e-10) -> ConeReport:
+def cone_check(v: GridFunction | np.ndarray) -> ConeReport:
     """Evaluate both cone inequalities on the grid.
 
     margin is min over grid points in [1/4, 3/4] of v minus ||v||/4;
     nonneg_margin is the global minimum of v.  Membership allows round-off
-    slack tol on both.
+    slack CONE_TOL on both.
     """
     vals = _values(v)
     t = grid_points(vals.size)
@@ -83,7 +85,7 @@ def cone_check(v: GridFunction | np.ndarray, tol: float = 1e-10) -> ConeReport:
     window_min = float(np.min(vals[_window_slice(t)]))
     margin = window_min - WINDOW_FRACTION * sup_norm(vals)
     return ConeReport(
-        in_cone=(nonneg_margin >= -tol and margin >= -tol),
+        in_cone=(nonneg_margin >= -CONE_TOL and margin >= -CONE_TOL),
         margin=margin,
         nonneg_margin=nonneg_margin,
     )
@@ -142,13 +144,12 @@ def lower_bound_check(
     v: GridFunction,
     eta: float,
     m: float,
-    tol: float = 1e-8,
 ) -> BoundCheck:
     """Window lower bound for equation i's operator output.
 
     Hypothesis: v lies in the cone and f_i(t, v(t)) >= eta * v(t)^m on grid
     points with t in [1/4, 3/4].  Conclusion tested: the output at t = 1/4
-    dominates Gamma_i * eta^{1/k_i} * (||v||/4)^{m/k_i} up to tol, where
+    dominates Gamma_i * eta^{1/k_i} * (||v||/4)^{m/k_i} up to BOUND_TOL, where
     Gamma_i is lower_bound_constant(k_i, N).
     """
     vals = _values(v)
@@ -168,7 +169,7 @@ def lower_bound_check(
     lhs = float(np.interp(WINDOW[0], t, w.values))
     gamma_i = lower_bound_constant(k_i, spec.N)
     rhs = gamma_i * eta ** (1.0 / k_i) * (sup_norm(vals) / 4.0) ** (m / k_i)
-    return BoundCheck(True, bool(lhs >= rhs - tol), lhs, rhs)
+    return BoundCheck(True, bool(lhs >= rhs - BOUND_TOL), lhs, rhs)
 
 
 def upper_bound_check(
@@ -177,13 +178,13 @@ def upper_bound_check(
     v: GridFunction,
     eps: float,
     d: float,
-    tol: float = 1e-8,
 ) -> BoundCheck:
     """Sup-norm upper bound for equation i's operator output.
 
     Hypothesis: f_i(t, v(t)) <= eps * v(t)^d on the full grid.  Conclusion
-    tested: sup ||output|| < (eps * ||v||^d)^{1/k_i} + tol.  The strict form
-    holds with room to spare because the endpoint prefactor is below 1.
+    tested: sup ||output|| < (eps * ||v||^d)^{1/k_i} + BOUND_TOL.  The
+    strict form holds with room to spare because the endpoint prefactor is
+    below 1.
     """
     vals = _values(v)
     t = grid_points(vals.size)
@@ -197,7 +198,7 @@ def upper_bound_check(
 
     lhs = sup_norm(apply_operator(spec, i, v))
     rhs = (eps * sup_norm(vals) ** d) ** (1.0 / k_i)
-    return BoundCheck(True, bool(lhs < rhs + tol), lhs, rhs)
+    return BoundCheck(True, bool(lhs < rhs + BOUND_TOL), lhs, rhs)
 
 
 def chain_contraction_bound(spec: SystemSpec) -> float:

@@ -54,6 +54,7 @@ from .core import (
     sup_norm,
 )
 from .solver import (
+    UNIT_RATIO_TOL,
     IterationStatus,
     _default_shape,
     lambda_product_check,
@@ -198,8 +199,6 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, IterationStatus):
-        return obj.value
     return obj
 
 
@@ -303,19 +302,15 @@ def _verify_and_store(run: _Run, bundle: SolutionBundle, label: str) -> bool:
     return report.passed
 
 
-def _scan(run: _Run, points: int | None = None):
+def _scan(run: _Run):
     cfg = run.config
     profile = norm_profile_scan(
-        cfg.spec,
-        cfg.r_min,
-        cfg.r_max,
-        points or cfg.points,
-        grid_size=cfg.M,
+        cfg.spec, cfg.r_min, cfg.r_max, cfg.points, grid_size=cfg.M
     )
     run.record(
         "norm_profile",
         _fields(profile, omit=("solutions",)),
-        {"r_min": cfg.r_min, "r_max": cfg.r_max, "points": points or cfg.points},
+        {"r_min": cfg.r_min, "r_max": cfg.r_max, "points": cfg.points},
     )
     return profile
 
@@ -402,12 +397,16 @@ def _scenario_uniqueness(run: _Run) -> int:
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     rescaled = rescale_to_solution(spec, eig)
-    rescale_dist = _rel_sup_distance(rescaled.v[0], limits[0])
+    scale = rescale_dist = None
+    if rescaled is not None:
+        scale = sup_norm(rescaled.v[0])
+        rescale_dist = _rel_sup_distance(rescaled.v[0], limits[0])
+    rescale_ok = rescale_dist is not None and rescale_dist <= 1e-5
     run.record(
         "rescale_agreement",
-        {"mu": eig.mu, "scale": sup_norm(rescaled.v[0]), "rel_distance": rescale_dist},
+        {"mu": eig.mu, "scale": scale, "rel_distance": rescale_dist},
         {"rel": 1e-5},
-        rescale_dist <= 1e-5,
+        rescale_ok,
     )
 
     profile = _scan(run)
@@ -425,16 +424,14 @@ def _scenario_uniqueness(run: _Run) -> int:
 
     bundle = make_bundle(spec, limits[0])
     ok = _verify_and_store(run, bundle, "1")
-    agreed = spread <= 1e-5 and rescale_dist <= 1e-5 and single
+    agreed = spread <= 1e-5 and rescale_ok and single
     return EXIT_OK if (ok and agreed) else EXIT_NUMERICAL
 
 
 def _scenario_nonexistence(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if spec.gamma is None or not math.isclose(
-        spec.homogeneity_ratio, 1.0, rel_tol=0, abs_tol=1e-12
-    ):
+    if spec.gamma is None or abs(spec.homogeneity_ratio - 1.0) > UNIT_RATIO_TOL:
         run.record(
             "hypothesis",
             {"reason": "nonexistence needs a power system with ratio exactly 1"},
@@ -471,9 +468,7 @@ def _scenario_nonexistence(run: _Run) -> int:
 def _scenario_eigenvalue(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if spec.gamma is None or not math.isclose(
-        spec.homogeneity_ratio, 1.0, rel_tol=0, abs_tol=1e-12
-    ):
+    if spec.gamma is None or abs(spec.homogeneity_ratio - 1.0) > UNIT_RATIO_TOL:
         run.record(
             "hypothesis",
             {"reason": "eigenvalue scenario needs a power system with ratio exactly 1"},

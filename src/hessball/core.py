@@ -59,16 +59,6 @@ class GridFunction:
     def grid_size(self) -> int:
         return self.values.size
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.values.size - 1)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return grid_points(self.values.size)
-
-    def __call__(self, index: int) -> float:
-        return float(self.values[index])
 
 
 def _values(v: GridFunction | np.ndarray) -> np.ndarray:

@@ -60,8 +60,9 @@ DIVERGENCE_NORM = 1e10
 POWER_MAX_ITER = 500
 SCAN_INNER_TOL = 1e-10
 SCAN_MAX_INNER = 300
-SCAN_REFINE_BITS = 60
 ACCEPT_DEFECT = 1e-8
+UNIT_RATIO_TOL = 1e-12  # homogeneity ratios this close to 1 count as 1
+LAMBDA_PRODUCT_RTOL = 1e-6
 
 
 class IterationStatus(str, Enum):
@@ -181,26 +182,31 @@ def _shape_iteration(
     shape: np.ndarray,
     tol: float = SCAN_INNER_TOL,
     max_iter: int = SCAN_MAX_INNER,
-) -> tuple[np.ndarray, float, float, int]:
-    """Run v <- r A(v)/||A(v)|| to shape tolerance, then read G = ||A(r v)||.
+) -> tuple[np.ndarray, tuple[GridFunction, ...], float, int]:
+    """Run v <- r A(v)/||A(v)|| to shape tolerance, then apply A to r v once more.
 
-    Returns (shape, G, delta, iterations), where delta is the last shape
-    change.  An annihilated iterate (A(r v) = 0) returns G = 0 and
-    delta = inf, so it never counts as converged.
+    Returns (shape, chain, delta, iterations), where chain is the chain of
+    that last composite, so G = ||A(r v)|| is sup_norm(chain[0]), and delta
+    is the last shape change.  An annihilated iterate (A(r v) = 0) returns
+    that composite's chain and delta = inf, so it never counts as converged.
     """
     delta = math.inf
     for it in range(1, max_iter + 1):
-        w = apply_composite(spec, GridFunction(r * shape)).values
-        norm = float(np.max(np.abs(w)))
+        chain = apply_composite(spec, GridFunction(r * shape), return_chain=True)
+        w = chain[0]
+        norm = sup_norm(w)
         if norm == 0:
-            return shape, 0.0, math.inf, it
-        new_shape = w / norm
+            return shape, chain, math.inf, it
+        # only w outlives the step: keeping the whole chain, or nothing,
+        # across the next composite ran 4-18% slower at M = 64001
+        del chain
+        new_shape = w.values / norm
         delta = float(np.max(np.abs(new_shape - shape)))
         shape = new_shape
         if delta <= tol:
             break
-    G = sup_norm(apply_composite(spec, GridFunction(r * shape)))
-    return shape, G, delta, it
+    chain = apply_composite(spec, GridFunction(r * shape), return_chain=True)
+    return shape, chain, delta, it
 
 
 def normalized_power_iteration(
@@ -216,9 +222,10 @@ def normalized_power_iteration(
     """
     if not cone_check(init).in_cone or sup_norm(init) == 0:
         raise ValueError("initial profile must be a nonzero cone element")
-    shape, mu, delta, iterations = _shape_iteration(
+    shape, chain, delta, iterations = _shape_iteration(
         spec, 1.0, init.values / sup_norm(init), tol, POWER_MAX_ITER
     )
+    mu = sup_norm(chain[0])
     if mu == 0:
         raise ValueError("composite map annihilated the iterate; system is degenerate")
     return EigenResult(
@@ -235,13 +242,20 @@ def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | 
 
     Homogeneity gives A(c phi) = c^rho mu phi, so c = mu^{1/(1-rho)} makes
     c phi a fixed point in the continuum.  At rho = 1 no scale works unless
-    mu = 1 exactly, which is the eigenvalue situation, so None is returned.
+    mu = 1 exactly, which is the eigenvalue situation, so None is returned;
+    likewise when rho is within UNIT_RATIO_TOL of 1, or when c is not a
+    positive finite float (the power over- or underflows).
     """
     _power_exponents(spec, "rescale_to_solution")
     rho = spec.homogeneity_ratio
-    if rho == 1.0:
+    if abs(rho - 1.0) <= UNIT_RATIO_TOL:
         return None
-    c = eig.mu ** (1.0 / (1.0 - rho))
+    try:
+        c = eig.mu ** (1.0 / (1.0 - rho))
+    except OverflowError:
+        return None
+    if not 0.0 < c < math.inf:
+        return None
     return make_bundle(spec, GridFunction(c * eig.shape.values))
 
 
@@ -249,11 +263,12 @@ def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | 
 class NormProfile:
     """Scan of G(r) = ||A(v_r)|| along shape-converged profiles of norm r.
 
-    sign_changes holds the bracketing radius intervals where G(r) - r
-    changes sign; roots the bisection-refined crossing radii; solutions the
-    defect-accepted bundle for each root (None where acceptance failed).
-    converged marks radii whose inner shape iteration met its tolerance;
-    a radius where the map annihilates the profile never does.
+    sign_changes holds the neighbouring radii where the sign bit of G(r) - r
+    flips (zero counts as non-negative); roots the radius where each
+    bracket's bisection stopped; solutions its chain of A, or None where the
+    fixed-point defect failed acceptance.  converged marks radii whose inner
+    shape iteration met its tolerance (never where the map annihilates the
+    profile); roots are accepted by their defect, not by these flags.
     """
 
     radii: tuple[float, ...]
@@ -278,14 +293,15 @@ def norm_profile_scan(
 ) -> NormProfile:
     """Profile the composite map's norm response over log-spaced radii.
 
-    Every root of G(r) - r is a candidate solution norm.  Each detected
-    sign-change interval is narrowed by bisection (the shape is warm-started
-    across evaluations, so the per-step cost stays low).  The profile v at
-    the refined radius is bundled, and the bundle is accepted as a solution
-    when its fixed-point defect ||A(v) - v|| is small.  Deliberately not
-    picard_solve: a root can be repelling, and its profile can sit outside
-    the cone (steeply decreasing forcing bends the tail convex), so no march
-    and no cone gate.
+    Every root of G(r) - r is a candidate solution norm.  Neighbouring radii
+    where the sign bit of G(r) - r flips are bisected from the coarse pass's
+    shape at the lower radius.  The last composite at a midpoint r gives
+    A(v) for v = r shape, so both G(r) and the defect max|A(v) - v|; bisection
+    stops once the defect is at most SCAN_INNER_TOL r (or the bracket cannot
+    be halved), and that chain is the root's bundle, accepted when the defect
+    is at most ACCEPT_DEFECT (1 + r).  Deliberately not picard_solve: a root
+    can be repelling, and its profile can sit outside the cone (steeply
+    decreasing forcing bends the tail convex), so no march and no cone gate.
     """
     if not 0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
@@ -298,58 +314,40 @@ def norm_profile_scan(
     shapes: list[np.ndarray] = []
     shape = _default_shape(grid_size)
     for j, r in enumerate(radii):
-        shape, G, delta, _ = _shape_iteration(spec, float(r), shape)
-        values[j] = G
+        shape, chain, delta, _ = _shape_iteration(spec, float(r), shape)
+        values[j] = sup_norm(chain[0])
         converged[j] = delta <= SCAN_INNER_TOL
         shapes.append(shape)
 
-    psi = values - radii
-    brackets: list[tuple[float, float]] = []
-    bracket_shapes: list[np.ndarray] = []
-    for j in range(points - 1):
-        if psi[j] == 0.0 and (j == 0 or psi[j - 1] != 0.0):
-            brackets.append((float(radii[j]), float(radii[j])))
-            bracket_shapes.append(shapes[j])
-        elif psi[j] * psi[j + 1] < 0.0:
-            brackets.append((float(radii[j]), float(radii[j + 1])))
-            bracket_shapes.append(shapes[j])
-    if psi[-1] == 0.0:
-        brackets.append((float(radii[-1]), float(radii[-1])))
-        bracket_shapes.append(shapes[-1])
-
+    negative = np.signbit(values - radii)
+    crossings = np.flatnonzero(negative[:-1] != negative[1:])
+    brackets = tuple((float(radii[j]), float(radii[j + 1])) for j in crossings)
     roots: list[float] = []
     solutions: list[SolutionBundle | None] = []
-    for (a, b), shape in zip(brackets, bracket_shapes):
-        lo, hi = a, b
-        shape, psi_lo, _, _ = _shape_iteration(spec, lo, shape)
-        psi_lo -= lo
-        for _ in range(SCAN_REFINE_BITS):
-            if hi - lo <= 1e-15 * hi:
+    for j, (lo, hi) in zip(crossings, brackets):
+        shape = shapes[j]
+        mid = 0.5 * (lo + hi)
+        while True:
+            shape, chain, _, _ = _shape_iteration(spec, mid, shape)
+            defect = float(np.max(np.abs(chain[0].values - mid * shape)))
+            if defect <= SCAN_INNER_TOL * mid:
                 break
-            mid = 0.5 * (lo + hi)
-            shape, G_mid, _, _ = _shape_iteration(spec, mid, shape)
-            psi_mid = G_mid - mid
-            if psi_mid == 0.0:
-                lo = hi = mid
-                break
-            if (psi_mid < 0) == (psi_lo < 0):
-                lo, psi_lo = mid, psi_mid
+            if np.signbit(sup_norm(chain[0]) - mid) == negative[j]:
+                lo = mid
             else:
                 hi = mid
-        root = 0.5 * (lo + hi)
-        roots.append(root)
-        shape, _, _, _ = _shape_iteration(spec, root, shape)
-        v = root * shape
-        bundle = make_bundle(spec, GridFunction(v))
-        defect = float(np.max(np.abs(bundle.v[0].values - v)))
-        accepted = defect <= ACCEPT_DEFECT * (1.0 + float(np.max(np.abs(v))))
-        solutions.append(bundle if accepted else None)
+            if not lo < 0.5 * (lo + hi) < hi:
+                break
+            mid = 0.5 * (lo + hi)
+        roots.append(mid)
+        accepted = defect <= ACCEPT_DEFECT * (1.0 + mid)
+        solutions.append(SolutionBundle(v=chain, spec=spec) if accepted else None)
 
     return NormProfile(
         radii=tuple(float(r) for r in radii),
         values=tuple(float(v) for v in values),
         converged=tuple(bool(c) for c in converged),
-        sign_changes=tuple(brackets),
+        sign_changes=brackets,
         roots=tuple(roots),
         solutions=tuple(solutions),
     )
@@ -388,7 +386,6 @@ def lambda_product_check(
     spec: SystemSpec,
     lam: tuple[float, ...],
     eig: EigenResult,
-    rtol: float = 1e-6,
 ) -> LambdaProductCheck:
     """Check whether per-equation multipliers admit a nonzero fixed point.
 
@@ -396,7 +393,7 @@ def lambda_product_check(
     existence question a pure number comparison.
     """
     _power_exponents(spec, "lambda_product_check")
-    if not math.isclose(spec.homogeneity_ratio, 1.0, rel_tol=0, abs_tol=1e-12):
+    if abs(spec.homogeneity_ratio - 1.0) > UNIT_RATIO_TOL:
         raise ValueError("multiplier product check requires homogeneity ratio 1")
     if len(lam) != spec.n:
         raise ValueError("need one multiplier per equation")
@@ -405,7 +402,7 @@ def lambda_product_check(
     e = lambda_product_exponents(spec)
     product = float(np.prod([l**ej for l, ej in zip(lam, e)]))
     target = eig.lambda0 ** spec.k[0]
-    matches = bool(abs(product - target) <= rtol * abs(target))
+    matches = bool(abs(product - target) <= LAMBDA_PRODUCT_RTOL * abs(target))
     return LambdaProductCheck(
         product=product,
         target=target,

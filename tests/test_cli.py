@@ -261,6 +261,18 @@ class TestExitCodes:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["0", "[]"]
 
+    def test_uniqueness_without_a_rescale_fails_its_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hessball.cli, "rescale_to_solution", lambda spec, eig: None)
+        path = uniqueness_config(tmp_path)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 4
+        report = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
+        record = next(
+            r for r in map(json.loads, report) if r["kind"] == "rescale_agreement"
+        )
+        assert record["pass"] is False
+        assert record["values"]["scale"] is None
+        assert record["values"]["rel_distance"] is None
+
     def test_uniqueness_needs_sublinear_ratio(self, tmp_path):
         path = uniqueness_config(tmp_path, gamma=[1, 1])
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3

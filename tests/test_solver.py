@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -29,10 +30,13 @@ from hessball import (
     sup_norm,
     verify_solution,
 )
+from hessball import solver
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
 CRITICAL = PowerSystemSpec(2, (1, 1), (1.0, 1.0))
 LAPLACE_3D = PowerSystemSpec(3, (1, 1), (1.0, 1.0))
+# the two-solution forcing of acceptance criterion 9
+MULT_FORCING = NonlinearitySpec(((0.1, 0.0, 0.5), (0.1, 0.0, 3.0)))
 
 
 def dome(M):
@@ -177,6 +181,15 @@ class TestRescaleToSolution:
         eig = normalized_power_iteration(CRITICAL, dome(301))
         assert rescale_to_solution(CRITICAL, eig) is None
 
+    @pytest.mark.parametrize("eps", [-1e-13, -1e-9, 1e-13])
+    def test_ratio_near_one_has_no_scale(self, eps):
+        # ratio 1 + eps: |eps| <= 1e-12 counts as 1, and at eps = -1e-9 the
+        # scale mu^{1/(1-rho)} = mu^{1e9} underflows to 0
+        spec = PowerSystemSpec(2, (1, 1), (1.0, 1.0 + eps))
+        eig = normalized_power_iteration(spec, dome(301))
+        assert eig.mu < 1.0
+        assert rescale_to_solution(spec, eig) is None
+
     def test_unit_mu_means_no_rescaling(self):
         shape = dome(301)
         eig = EigenResult(
@@ -217,6 +230,35 @@ class TestNormProfileScan:
         prof = norm_profile_scan(spec, 1e-200, 1e-190, 8, grid_size=101)
         assert prof.values == (0.0,) * 8
         assert prof.converged == (False,) * 8
+
+    @pytest.mark.parametrize(
+        "spec, r_min, r_max, points",
+        [
+            (SystemSpec(2, (1, 1), (MULT_FORCING,) * 2), 1e-4, 1e4, 48),
+            (PowerSystemSpec(2, (1, 1), (2.0, 2.0)), 1e-3, 1e3, 32),
+        ],
+        ids=["criterion9", "gamma22"],
+    )
+    def test_no_composite_input_repeats(self, monkeypatch, spec, r_min, r_max, points):
+        seen = []
+        apply = solver.apply_composite
+
+        def hashing(spec, v1, return_chain=False):
+            seen.append(hashlib.sha256(v1.values.tobytes()).hexdigest())
+            return apply(spec, v1, return_chain=return_chain)
+
+        monkeypatch.setattr(solver, "apply_composite", hashing)
+        prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
+        assert prof.roots
+        assert len(set(seen)) == len(seen)
+
+    def test_large_ratio_root_is_accepted(self):
+        # gamma = (20, 20): ratio 400, so G is steep at the root and a stop
+        # on bracket width alone would leave a defect above acceptance
+        spec = PowerSystemSpec(2, (1, 1), (20.0, 20.0))
+        prof = norm_profile_scan(spec, 0.3, 3.0, 24, grid_size=1001)
+        assert len(prof.roots) == 1
+        assert prof.solutions[0] is not None
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
