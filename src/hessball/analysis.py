@@ -27,6 +27,7 @@ from .core import (
     eval_nonlinearity,
     grid_points,
     sup_norm,
+    unit_ratio_sign,
 )
 from .operators import (
     _symmetric_function,
@@ -234,7 +235,9 @@ class GrowthClass:
       C3: like C1 at zero plus positive lower_inf, products straddling
           (below at zero, above at infinity) -- the two-solution regime
           when a threshold radius exists;
-      none: no regime matches (in particular the ratio-1 boundary).
+      none: no regime matches, in particular the ratio-1 boundary: a
+          product within UNIT_RATIO_TOL of the degree product (relative,
+          see unit_ratio_sign) is neither below nor above it.
 
     vanishing_count counts equations whose forcing vanishes at v = 0;
     relabel_vanishing_ok reports that at least n-1 do, in which case a
@@ -298,28 +301,29 @@ def classify_growth(spec: SystemSpec) -> GrowthClass:
 
     exponents_positive = all(a > 0 for a in alpha)
     tail_vanishes = all(vanishing[1:])
+    at_zero, at_inf = unit_ratio_sign(pa / pk), unit_ratio_sign(pb / pk)
     condition = "none"
     if exponents_positive:
         if (
             all(x > 0 for x in lower0)
             and all(x > 0 for x in upper_inf)
             and tail_vanishes
-            and pa < pk
-            and pb < pk
+            and at_zero < 0
+            and at_inf < 0
         ):
             condition = "C1"
         elif (
             all(x > 0 for x in upper0)
             and all(x > 0 for x in lower_inf)
-            and pa > pk
-            and pb > pk
+            and at_zero > 0
+            and at_inf > 0
         ):
             condition = "C2"
         elif (
             all(x > 0 for x in lower0)
             and all(x > 0 for x in lower_inf)
             and tail_vanishes
-            and pa < pk < pb
+            and at_zero < 0 < at_inf
         ):
             condition = "C3"
 
@@ -441,9 +445,9 @@ class SublinearityReport:
     pinched between positive multiples of 1-t.  gain is the measured margin
     by which scaling the input by xi in (0,1) beats linear scaling of the
     output: output(xi v) >= (1 + gain) * xi * output(v); gain_expected is
-    xi^{rho-1} - 1 from homogeneity.  hypothesis_ok is False when rho >= 1,
-    in which case the uniqueness mechanism does not apply and only the
-    sandwich fields are populated.
+    xi^{rho-1} - 1 from homogeneity.  hypothesis_ok is True only when
+    unit_ratio_sign(rho) puts rho below 1; otherwise the uniqueness
+    mechanism does not apply.
     """
 
     hypothesis_ok: bool
@@ -478,7 +482,7 @@ def sublinearity_check(
     gain_expected = xi ** (rho - 1.0) - 1.0
 
     return SublinearityReport(
-        hypothesis_ok=rho < 1.0,
+        hypothesis_ok=unit_ratio_sign(rho) < 0,
         ratio_min=ratio_min,
         ratio_max=ratio_max,
         gain=gain,

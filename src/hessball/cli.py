@@ -29,11 +29,13 @@ import dataclasses
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    _window_slice,
     chain_contraction_bound,
     classify_growth,
     lower_bound_check,
@@ -52,9 +54,9 @@ from .core import (
     eval_nonlinearity,
     grid_points,
     sup_norm,
+    unit_ratio_sign,
 )
 from .solver import (
-    UNIT_RATIO_TOL,
     IterationStatus,
     _default_shape,
     lambda_product_check,
@@ -102,7 +104,6 @@ class ScenarioConfig:
     r0: float | None = None
     R0: float | None = None
     xi: float = 0.5
-    damping: float | None = None
     lambdas: tuple[tuple[float, ...], ...] = ()
     solution_csv: str | None = None
     out_dir: str | None = None
@@ -140,8 +141,16 @@ def _build_spec(data: dict) -> SystemSpec:
     raise ConfigError("config needs gamma or terms")
 
 
+_CASTERS = {  # optional keys and the type each is cast to
+    "M": int, "tol": float, "seed": int, "starts": int, "r_min": float,
+    "r_max": float, "points": int, "r0": float, "R0": float, "xi": float,
+    "solution_csv": str, "out_dir": str,
+}
+_KEYS = {"scenario", "N", "k", "gamma", "terms", "lambda", *_CASTERS}
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a JSON scenario configuration."""
+    """Parse and validate a JSON scenario configuration; unread keys are errors."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -150,26 +159,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(data) - _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "scenario" not in data:
         raise ConfigError("config needs a scenario")
 
     spec = _build_spec(data)
     kwargs = {}
-    for key, caster in (
-        ("M", int),
-        ("tol", float),
-        ("seed", int),
-        ("starts", int),
-        ("r_min", float),
-        ("r_max", float),
-        ("points", int),
-        ("r0", float),
-        ("R0", float),
-        ("xi", float),
-        ("damping", float),
-        ("solution_csv", str),
-        ("out_dir", str),
-    ):
+    for key, caster in _CASTERS.items():
         if key in data and data[key] is not None:
             try:
                 kwargs[key] = caster(data[key])
@@ -335,7 +333,7 @@ def _scenario_existence(run: _Run) -> int:
 
     if condition == "C1":
         init = GridFunction(_default_shape(cfg.M))
-        report = picard_solve(cfg.spec, init, damping=cfg.damping, tol=cfg.tol)
+        report = picard_solve(cfg.spec, init, tol=cfg.tol)
         run.record(
             "picard",
             _fields(report, omit=("norm_history", "solution")),
@@ -367,7 +365,7 @@ def _scenario_multiplicity(run: _Run) -> int:
 def _scenario_uniqueness(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if spec.gamma is None or spec.homogeneity_ratio >= 1.0:
+    if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) >= 0:
         run.record(
             "hypothesis",
             {"reason": "uniqueness needs a power system with ratio below 1"},
@@ -377,7 +375,7 @@ def _scenario_uniqueness(run: _Run) -> int:
 
     limits = []
     for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed):
-        report = picard_solve(spec, init, damping=cfg.damping, tol=cfg.tol)
+        report = picard_solve(spec, init, tol=cfg.tol)
         if report.status is not IterationStatus.CONVERGED:
             run.record(
                 "picard", {"status": report.status}, {"tol": cfg.tol}, False
@@ -431,7 +429,7 @@ def _scenario_uniqueness(run: _Run) -> int:
 def _scenario_nonexistence(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if spec.gamma is None or abs(spec.homogeneity_ratio - 1.0) > UNIT_RATIO_TOL:
+    if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
         run.record(
             "hypothesis",
             {"reason": "nonexistence needs a power system with ratio exactly 1"},
@@ -451,7 +449,7 @@ def _scenario_nonexistence(run: _Run) -> int:
 
     collapsed = 0
     for init in _random_cone_inits(cfg.M, 3, cfg.seed):
-        report = picard_solve(spec, init, damping=cfg.damping, tol=1e-12)
+        report = picard_solve(spec, init, tol=1e-12)
         if report.status is IterationStatus.COLLAPSED_TO_ZERO:
             collapsed += 1
     run.record("collapse", {"collapsed": collapsed, "starts": 3}, passed=collapsed == 3)
@@ -468,7 +466,7 @@ def _scenario_nonexistence(run: _Run) -> int:
 def _scenario_eigenvalue(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
-    if spec.gamma is None or abs(spec.homogeneity_ratio - 1.0) > UNIT_RATIO_TOL:
+    if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
         run.record(
             "hypothesis",
             {"reason": "eigenvalue scenario needs a power system with ratio exactly 1"},
@@ -532,6 +530,7 @@ def _scenario_bounds(run: _Run) -> int:
 
     v = GridFunction(_default_shape(cfg.M))
     t = grid_points(cfg.M)
+    window = _window_slice(t)
     growth = classify_growth(spec)
     all_ok = True
     for i in range(1, spec.n + 1):
@@ -539,7 +538,6 @@ def _scenario_bounds(run: _Run) -> int:
         fv = np.asarray(eval_nonlinearity(f, t, v.values), dtype=float)
 
         m = growth.alpha[i - 1]
-        window = (t >= 0.25) & (t <= 0.75)
         eta = float(np.min(fv[window] / v.values[window] ** m)) * (1.0 - 1e-12)
         low = lower_bound_check(spec, i, v, eta, m)
         run.record(
@@ -601,10 +599,23 @@ _SCENARIO_RUNNERS = {
 }
 
 
+def _error_location(exc: BaseException) -> str:
+    """file:line of the innermost traceback frame inside this package."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    package = Path(__file__).parent
+    frame = [f for f in frames if Path(f.filename).parent == package][-1]
+    return f"{Path(frame.filename).name}:{frame.lineno}"
+
+
 def run_scenario(
     config: ScenarioConfig, out_dir: str | Path | None = None, quiet: bool = False
 ) -> int:
-    """Execute one scenario; write report.jsonl and solution CSVs; return exit code."""
+    """Execute one scenario; write report.jsonl and solution CSVs; return exit code.
+
+    A scenario that fails with an exception other than ConfigError still
+    writes its report, ending in an error record, and the exception
+    propagates.
+    """
     target = Path(out_dir or config.out_dir or ".")
     run = _Run(config, target, quiet)
     run.record(
@@ -617,7 +628,16 @@ def run_scenario(
             "iteration_tolerance": config.tol,
         },
     )
-    code = _SCENARIO_RUNNERS[config.scenario](run)
+    try:
+        code = _SCENARIO_RUNNERS[config.scenario](run)
+    except ConfigError:
+        raise  # invalid input, not a failed run: stderr names the fault
+    except Exception as exc:
+        values = {"type": type(exc).__name__, "message": str(exc),
+                  "location": _error_location(exc)}
+        run.record("error", values, passed=False)
+        run.flush()
+        raise
     run.flush()
     return code
 

@@ -25,9 +25,11 @@ __all__ = [
     "PowerSystemSpec",
     "SolutionBundle",
     "SystemSpec",
+    "UNIT_RATIO_TOL",
     "eval_nonlinearity",
     "grid_points",
     "sup_norm",
+    "unit_ratio_sign",
 ]
 
 
@@ -175,6 +177,21 @@ class SystemSpec:
         if gamma is None:
             return None
         return float(np.prod(gamma) / np.prod(self.k))
+
+
+UNIT_RATIO_TOL = 1e-12  # homogeneity ratios this close to 1 count as 1
+
+
+def unit_ratio_sign(ratio: float) -> int:
+    """-1 below 1, 0 within UNIT_RATIO_TOL of 1, +1 above.
+
+    The one place a homogeneity ratio (or an exponent product over the
+    degree product) is compared with 1: below is the sublinear regime,
+    0 the critical one, above the superlinear one.
+    """
+    if abs(ratio - 1.0) <= UNIT_RATIO_TOL:
+        return 0
+    return -1 if ratio < 1.0 else 1
 
 
 def _power_exponents(spec: SystemSpec, what: str) -> tuple[float, ...]:

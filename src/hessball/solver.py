@@ -2,8 +2,8 @@
 
 Four solution strategies, all built on the composite map A = A_1 ... A_n:
 
-* damped Picard iteration, which converges to the nontrivial fixed point in
-  sublinear regimes and collapses to zero in the critical one;
+* Picard iteration v <- A(v), which converges to the nontrivial fixed point
+  in sublinear regimes and collapses to zero in the critical one;
 * normalized power iteration, which extracts the invariant shape phi and the
   factor mu = ||A(phi)|| regardless of scaling behaviour;
 * analytic rescaling, which turns (phi, mu) into an exact fixed point for
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import classify_growth, cone_check
+from .analysis import cone_check
 from .core import (
     GridFunction,
     NonlinearitySpec,
@@ -36,6 +36,7 @@ from .core import (
     _power_exponents,
     grid_points,
     sup_norm,
+    unit_ratio_sign,
 )
 from .operators import apply_composite
 
@@ -57,11 +58,11 @@ __all__ = [
 
 COLLAPSE_RELATIVE = 1e-10
 DIVERGENCE_NORM = 1e10
+PICARD_MAX_ITER = 500
 POWER_MAX_ITER = 500
 SCAN_INNER_TOL = 1e-10
 SCAN_MAX_INNER = 300
 ACCEPT_DEFECT = 1e-8
-UNIT_RATIO_TOL = 1e-12  # homogeneity ratios this close to 1 count as 1
 LAMBDA_PRODUCT_RTOL = 1e-6
 
 
@@ -93,30 +94,21 @@ def make_bundle(spec: SystemSpec, v1: GridFunction) -> SolutionBundle:
     return SolutionBundle(v=chain, spec=spec)
 
 
-def _default_damping(spec: SystemSpec) -> float:
-    """Undamped when growth stays below the degrees everywhere, else 0.5."""
-    growth = classify_growth(spec)
-    return 1.0 if growth.product_beta < growth.product_k else 0.5
-
-
 def picard_solve(
     spec: SystemSpec,
     init: GridFunction,
-    damping: float | None = None,
     tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> IterationReport:
-    """Damped fixed-point iteration v <- (1-d) v + d A(v) from a cone start.
+    """Fixed-point iteration v <- A(v) from a cone start.
 
-    Stops when the update is below tol relative to 1 + ||v||.  Collapse
-    (norm below 1e-10 of the start) is checked before convergence so that a
-    geometric decay to zero is reported as collapse, not as convergence to
-    the trivial fixed point; divergence trips at norm 1e10.
+    Each step's update max|A(v) - v| is the fixed-point defect of the
+    iterate it started from, and final_delta is the last one.  Stops when
+    the update is below tol relative to 1 + ||A(v)||.  Collapse (norm below
+    1e-10 of the start) is checked before convergence so that a geometric
+    decay to zero is reported as collapse, not as convergence to the
+    trivial fixed point; divergence trips at norm 1e10, and MAX_ITER after
+    PICARD_MAX_ITER steps.
     """
-    if damping is None:
-        damping = _default_damping(spec)
-    if not 0 < damping <= 1:
-        raise ValueError("damping must lie in (0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not cone_check(init).in_cone:
@@ -127,12 +119,11 @@ def picard_solve(
     history: list[float] = []
     delta = math.inf
     status = IterationStatus.MAX_ITER
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
+    iterations = PICARD_MAX_ITER
+    for it in range(1, PICARD_MAX_ITER + 1):
         w = apply_composite(spec, GridFunction(v)).values
-        new = (1.0 - damping) * v + damping * w
-        delta = float(np.max(np.abs(new - v)))
-        v = new
+        delta = float(np.max(np.abs(w - v)))
+        v = w
         norm = float(np.max(np.abs(v)))
         history.append(norm)
         if norm < COLLAPSE_RELATIVE * init_norm:
@@ -242,13 +233,13 @@ def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | 
 
     Homogeneity gives A(c phi) = c^rho mu phi, so c = mu^{1/(1-rho)} makes
     c phi a fixed point in the continuum.  At rho = 1 no scale works unless
-    mu = 1 exactly, which is the eigenvalue situation, so None is returned;
-    likewise when rho is within UNIT_RATIO_TOL of 1, or when c is not a
-    positive finite float (the power over- or underflows).
+    mu = 1 exactly, which is the eigenvalue situation, so None is returned
+    whenever unit_ratio_sign(rho) is 0, and when c is not a positive finite
+    float (the power over- or underflows).
     """
     _power_exponents(spec, "rescale_to_solution")
     rho = spec.homogeneity_ratio
-    if abs(rho - 1.0) <= UNIT_RATIO_TOL:
+    if unit_ratio_sign(rho) == 0:
         return None
     try:
         c = eig.mu ** (1.0 / (1.0 - rho))
@@ -389,11 +380,11 @@ def lambda_product_check(
 ) -> LambdaProductCheck:
     """Check whether per-equation multipliers admit a nonzero fixed point.
 
-    Valid only at homogeneity ratio 1, where scale invariance makes the
-    existence question a pure number comparison.
+    Valid only at homogeneity ratio 1 (unit_ratio_sign 0), where scale
+    invariance makes the existence question a pure number comparison.
     """
     _power_exponents(spec, "lambda_product_check")
-    if abs(spec.homogeneity_ratio - 1.0) > UNIT_RATIO_TOL:
+    if unit_ratio_sign(spec.homogeneity_ratio) != 0:
         raise ValueError("multiplier product check requires homogeneity ratio 1")
     if len(lam) != spec.n:
         raise ValueError("need one multiplier per equation")

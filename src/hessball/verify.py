@@ -1,4 +1,4 @@
-"""End-to-end verification of candidate solutions and grid-convergence studies.
+"""End-to-end verification of candidate solutions.
 
 A bundle is checked directly against the differential form of the system:
 the discrete k_i-Hessian of -v_i must reproduce f_i(t, v_{i+1}) on interior
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,12 +43,10 @@ from .operators import radial_hessian
 
 __all__ = [
     "RESIDUAL_BOUND_CONSTANT",
-    "ConvergenceReport",
     "VerificationReport",
     "constant_forcing_solution",
     "ode_residual",
     "residual_tolerance",
-    "richardson_order",
     "verify_solution",
 ]
 
@@ -60,7 +58,6 @@ RESIDUAL_BOUND_CONSTANT = 4000.0
 
 ADMISSIBILITY_TOL = 1e-5
 CONE_TOL_SCALE = 1e-8
-SATURATION_FLOOR = 1e-13
 
 
 def residual_tolerance(M: int) -> float:
@@ -176,44 +173,4 @@ def verify_solution(
         passed=passed,
         cone_ok=cone_ok,
         convex_ok=convex_ok,
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Observed order from a grid-refinement study.
-
-    order is the least-squares slope of log(error) against log(spacing);
-    NaN when the study saturated at round-off level, in which case the
-    operation is exact on the tested family and no order can be observed.
-    """
-
-    order: float
-    errors: tuple[float, ...]
-    spacings: tuple[float, ...]
-    saturated: bool
-
-
-def richardson_order(
-    error_fn: Callable[[int], float], Ms: Sequence[int]
-) -> ConvergenceReport:
-    """Fit the convergence order of error_fn over the given grid sizes."""
-    if len(Ms) < 3:
-        raise ValueError("need at least 3 grid sizes")
-    errors = [abs(float(error_fn(int(M)))) for M in Ms]
-    spacings = [1.0 / (int(M) - 1) for M in Ms]
-    if max(errors) < SATURATION_FLOOR:
-        return ConvergenceReport(
-            order=math.nan,
-            errors=tuple(errors),
-            spacings=tuple(spacings),
-            saturated=True,
-        )
-    safe = [max(e, 1e-300) for e in errors]
-    slope = float(np.polyfit(np.log(spacings), np.log(safe), 1)[0])
-    return ConvergenceReport(
-        order=slope,
-        errors=tuple(errors),
-        spacings=tuple(spacings),
-        saturated=False,
     )

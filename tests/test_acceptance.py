@@ -35,11 +35,11 @@ from hessball import (
     picard_solve,
     rescale_to_solution,
     residual_tolerance,
-    richardson_order,
     sublinearity_check,
     sup_norm,
     verify_solution,
 )
+from richardson import richardson_order
 
 # dimensionless Dirichlet ball eigenvalues of the squared Laplacian:
 # pi^4 on the interval-symmetric 3-ball, (first J_0 zero)^4 on the disk

@@ -18,11 +18,11 @@ from hessball import (
     lower_bound_check,
     lower_bound_constant,
     multiplicity_thresholds,
-    richardson_order,
     sublinearity_check,
     upper_bound_check,
     upper_bound_prefactor,
 )
+from richardson import richardson_order
 
 # window integrals, cross-checked against adaptive quadrature to 1e-14;
 # the closed forms for k = 1 follow from a hand antiderivative

@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 
 import hessball
-from hessball import PowerSystemSpec, SystemSpec
+from hessball import (
+    EigenResult,
+    GridFunction,
+    PowerSystemSpec,
+    SystemSpec,
+    classify_growth,
+    grid_points,
+    lambda_product_check,
+    rescale_to_solution,
+    sublinearity_check,
+    unit_ratio_sign,
+)
 from hessball.cli import ConfigError, load_config, main, run_scenario
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
@@ -52,9 +63,12 @@ class TestLoadConfig:
         assert isinstance(cfg.spec, SystemSpec)
         assert cfg.spec.f[0].terms == ((0.1, 0.0, 0.5), (0.1, 0.0, 3.0))
 
-    def test_unknown_keys_ignored(self, tmp_path):
-        cfg = load_config(uniqueness_config(tmp_path, comment="hello"))
-        assert cfg.scenario == "uniqueness"
+    def test_unknown_keys_rejected(self, tmp_path):
+        # a retired key and a misspelt one must not fall back to defaults
+        path = uniqueness_config(tmp_path, damping=0.5, point=16)
+        with pytest.raises(ConfigError, match="unknown config keys: damping, point"):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
 
     def test_lambda_table(self, tmp_path):
         path = write_config(
@@ -273,6 +287,38 @@ class TestExitCodes:
         assert record["values"]["scale"] is None
         assert record["values"]["rel_distance"] is None
 
+    def test_failed_run_keeps_its_report(self, tmp_path, monkeypatch):
+        def broken_scan(*args, **kwargs):
+            raise RuntimeError("scan broke")
+
+        monkeypatch.setattr(hessball.cli, "norm_profile_scan", broken_scan)
+        out = tmp_path / "out"
+        path = uniqueness_config(tmp_path)
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 4
+        lines = (out / "report.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        kinds = [r["kind"] for r in records]
+        assert kinds[0] == "run_config"
+        assert "rescale_agreement" in kinds  # the records made before the scan
+        error = records[-1]
+        assert error["kind"] == "error" and error["pass"] is False
+        assert error["values"]["type"] == "RuntimeError"
+        assert error["values"]["message"] == "scan broke"
+        name, line = error["values"]["location"].split(":")
+        source = Path(hessball.cli.__file__).read_text().splitlines()
+        assert name == "cli.py" and "norm_profile_scan(" in source[int(line) - 1]
+
+        # a config error found mid-run is bad input, not a failed run
+        path = write_config(
+            tmp_path,
+            "v.json",
+            {"scenario": "verify", "N": 2, "k": [1, 1], "gamma": [0.5, 0.5],
+             "solution_csv": str(tmp_path / "missing.csv")},
+        )
+        out = tmp_path / "verify_out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 2
+        assert not (out / "report.jsonl").exists()
+
     def test_uniqueness_needs_sublinear_ratio(self, tmp_path):
         path = uniqueness_config(tmp_path, gamma=[1, 1])
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
@@ -485,3 +531,49 @@ class TestReportOutput:
         for line in lines:
             rec = json.loads(line)
             assert set(rec) == {"kind", "scenario", "M", "values", "tolerances", "pass"}
+
+
+class TestUnitRatio:
+    """Every decision on the homogeneity ratio uses one comparator."""
+
+    @pytest.mark.parametrize(
+        "eps",
+        [0.0, -1e-13, 1e-13, -1e-9, 1e-9],
+        ids=["1", "1-1e-13", "1+1e-13", "1-1e-9", "1+1e-9"],
+    )
+    def test_every_decision_agrees(self, tmp_path, eps):
+        system = {"N": 2, "k": [1, 1], "gamma": [1.0, 1.0 + eps]}
+        spec = PowerSystemSpec(2, (1, 1), (1.0, 1.0 + eps))
+        side = unit_ratio_sign(spec.homogeneity_ratio)
+        assert side == (0 if abs(eps) < 1e-12 else (1 if eps > 0 else -1))
+
+        expected = {-1: "C1", 0: "none", 1: "C2"}[side]
+        assert classify_growth(spec).condition == expected
+        t = grid_points(101)
+        shape = GridFunction(1.0 - t * t)
+        assert sublinearity_check(spec, shape, 0.5).hypothesis_ok == (side < 0)
+        # mu = 1 keeps the rescale finite for every ratio but 1
+        eig = EigenResult(
+            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=0
+        )
+        assert (rescale_to_solution(spec, eig) is None) == (side == 0)
+        if side == 0:
+            assert lambda_product_check(spec, (1.0, 1.0), eig).matches
+        else:
+            with pytest.raises(ValueError):
+                lambda_product_check(spec, (1.0, 1.0), eig)
+
+        # exit 3 exactly where the scenario's ratio hypothesis fails
+        unmet = {
+            "existence": side == 0,
+            "uniqueness": side >= 0,
+            "nonexistence": side != 0,
+            "eigenvalue": side != 0,
+        }
+        for scenario, hypothesis_unmet in unmet.items():
+            data = {"scenario": scenario, **system, "M": 301, "points": 16, "starts": 2}
+            path = write_config(tmp_path, f"{scenario}.json", data)
+            code = main(["run", path, "--out", str(tmp_path / scenario), "--quiet"])
+            assert (code == 3) == hypothesis_unmet, scenario
+            if scenario in ("nonexistence", "eigenvalue") and side == 0:
+                assert code == 0, scenario

@@ -16,8 +16,8 @@ from hessball import (
     grid_points,
     hessian_eigenvalues,
     radial_hessian,
-    richardson_order,
 )
+from richardson import richardson_order
 
 HESSIAN_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 4)]
 

@@ -16,10 +16,10 @@ from hessball import (
     ode_residual,
     picard_solve,
     residual_tolerance,
-    richardson_order,
     sup_norm,
     verify_solution,
 )
+from richardson import richardson_order
 
 
 def constant_system(N=2, k=1):
