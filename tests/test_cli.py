@@ -20,7 +20,14 @@ from hessball import (
     sublinearity_check,
     unit_ratio_sign,
 )
-from hessball.cli import ConfigError, load_config, main, run_scenario
+from hessball.cli import (
+    CSV_BLOCK_ROWS,
+    ConfigError,
+    _write_csv,
+    load_config,
+    main,
+    run_scenario,
+)
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
 
@@ -120,6 +127,8 @@ class TestLoadConfig:
                 "gamma": [1, 1],
                 "lambda": [["many", 1.0]],
             },
+            {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS},
+            {"scenario": "verify", "N": 2, "k": [1, 1], "gamma": [0.5, 0.5]},
         ],
         ids=[
             "no-scenario",
@@ -131,6 +140,8 @@ class TestLoadConfig:
             "bad-tol",
             "no-starts",
             "bad-lambda",
+            "multiplicity-without-anchor",
+            "verify-without-csv",
         ],
     )
     def test_rejected_configs(self, tmp_path, broken):
@@ -512,6 +523,17 @@ class TestReportOutput:
         assert (out1 / "solution_1.csv").read_bytes() == (
             out2 / "solution_1.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1, 9001])
+    def test_csv_bytes_match_savetxt(self, tmp_path, rows):
+        values = np.array([0.0, 5e-324, 1.0 / 3.0, 1e300])
+        data = np.resize(values, (rows, 3))
+        data[:, 0] = np.linspace(0.0, 1.0, rows)
+        header = "t,v_1,v_2"
+        _write_csv(tmp_path / "fast.csv", header, data)
+        np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         main(["run", uniqueness_config(tmp_path), "--out", str(tmp_path / "o"), "--quiet"])

@@ -120,6 +120,16 @@ class TestEvalNonlinearity:
         v = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(eval_nonlinearity(f, t, v), [0.0, 1.0, 3.0])
 
+    def test_t_free_forcing_broadcasts_over_t(self):
+        # no term reads t, yet the result still takes the broadcast shape
+        f = NonlinearitySpec(((2.0, 0.0, 1.0), (1.0, 0.0, 0.0)))
+        t = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(eval_nonlinearity(f, t, 3.0), [7.0, 7.0, 7.0])
+        out = eval_nonlinearity(f, t, np.array([[1.0], [2.0]]))
+        np.testing.assert_array_equal(out, [[3.0] * 3, [5.0] * 3])
+        with pytest.raises(ValueError):
+            eval_nonlinearity(f, t, np.ones(2))
+
     def test_negative_input_rejected(self):
         f = NonlinearitySpec(((1.0, 0.0, 0.5),))
         with pytest.raises(ValueError):

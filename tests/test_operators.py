@@ -194,6 +194,116 @@ class TestApplyComposite:
         )
 
 
+def reference_forcing(f, t, v):
+    """The forcing as first written: zeros, plus every term with its t**p."""
+    out = np.zeros(np.broadcast_shapes(t.shape, v.shape))
+    for c, p, g in f.active_terms:
+        out = out + c * np.power(t, p) * np.power(v, g)
+    return out
+
+
+def reference_operator(spec, i, v):
+    """A_i as first written: its own panel weights from four powers per call."""
+    N = spec.N
+    k = spec.k[i - 1]
+    M = v.size
+    h = 1.0 / (M - 1)
+    t = grid_points(M)
+    fvals = reference_forcing(spec.f[i - 1], t, v)
+    power = N - 1
+    s0 = t[:-1]
+    s1 = t[1:]
+    dp = (s1 ** (power + 1) - s0 ** (power + 1)) / (power + 1)
+    dp1 = (s1 ** (power + 2) - s0 ** (power + 2)) / (power + 2)
+    left = (s1 * dp - dp1) / h
+    right = (dp1 - s0 * dp) / h
+    inner = np.empty(M)
+    inner[0] = 0.0
+    np.cumsum(left * fvals[:-1] + right * fvals[1:], out=inner[1:])
+    inner = inner / math.comb(N - 1, k - 1)
+    core = np.empty_like(inner)
+    if N == k:
+        core[:] = k * inner
+    else:
+        core[0] = 0.0
+        core[1:] = k * inner[1:] / t[1:] ** (N - k)
+    assert not np.any(core < -1e-14)
+    np.clip(core, 0.0, None, out=core)
+    y = core ** (1.0 / k)
+    cum = np.empty(M)
+    cum[0] = 0.0
+    np.cumsum(h * (y[1:] + y[:-1]) / 2.0, out=cum[1:])
+    return cum[-1] - cum
+
+
+KERNEL_FORCINGS = {
+    "p0": NonlinearitySpec(((1.0, 0.0, 1.5),)),
+    "p-positive": NonlinearitySpec(((0.7, 1.3, 0.8),)),
+    "several": NonlinearitySpec(((0.1, 0.0, 0.5), (0.1, 0.0, 3.0), (0.4, 2.0, 1.0))),
+    "constant": NonlinearitySpec(((1.0, 0.0, 0.0), (0.5, 0.5, 2.0))),
+}
+
+
+def assert_kernel_matches_reference(N, k, f, M):
+    """apply_operator and apply_composite against reference_operator, bit for bit."""
+    spec = SystemSpec(N, (k, N + 1 - k), (f, f))
+    t = grid_points(M)
+    v = 2.5 * (1.0 - t * t) + (1.0 - t) * np.sin(3.0 * t) ** 2
+    w2 = reference_operator(spec, 2, v)
+    w1 = reference_operator(spec, 1, w2)
+    np.testing.assert_array_equal(apply_operator(spec, 2, v).values, w2)
+    np.testing.assert_array_equal(apply_operator(spec, 1, GridFunction(w2)).values, w1)
+    chain = apply_composite(spec, v, return_chain=True)
+    np.testing.assert_array_equal(chain[1].values, w2)
+    np.testing.assert_array_equal(chain[0].values, w1)
+    np.testing.assert_array_equal(apply_composite(spec, GridFunction(v)).values, w1)
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("forcing", sorted(KERNEL_FORCINGS))
+    @pytest.mark.parametrize("M", [7, 301, 1001, 4001])
+    def test_every_degree(self, M, forcing):
+        for N in range(2, 6):
+            for k in range(1, N + 1):
+                assert_kernel_matches_reference(N, k, KERNEL_FORCINGS[forcing], M)
+
+    def test_fine_grid(self):
+        assert_kernel_matches_reference(3, 2, KERNEL_FORCINGS["several"], 64001)
+
+    @pytest.mark.parametrize("wrap", [np.asarray, GridFunction], ids=["ndarray", "grid"])
+    def test_negative_input_rejected(self, wrap):
+        spec = power_pair(2, 1)
+        v = grid_points(51) ** 2 - 1.0
+        for call in (lambda x: apply_operator(spec, 1, x), lambda x: apply_composite(spec, x)):
+            with pytest.raises(ValueError, match="operator input must be nonnegative"):
+                call(wrap(v))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_array_input_rejected(self, bad):
+        spec = power_pair(2, 1)
+        v = 1.0 - grid_points(51) ** 2
+        v[7] = bad
+        for call in (lambda x: apply_operator(spec, 1, x), lambda x: apply_composite(spec, x)):
+            with pytest.raises(ValueError, match="grid function samples must be finite"):
+                call(v)
+            with pytest.raises(ValueError, match="grid function samples must be finite"):
+                call(GridFunction(v))
+
+    def test_overflowing_operator_output_rejected(self):
+        # v^40 overflows from 1e9; a constant forcing after it would turn
+        # the NaNs back into a finite profile, so every output is checked
+        v = 1e9 * (1.0 - grid_points(301) ** 2)
+        power = NonlinearitySpec(((1.0, 0.0, 40.0),))
+        constant = NonlinearitySpec(((1.0, 0.0, 0.0),))
+        for forcings in ((power, power), (constant, power)):
+            spec = SystemSpec(2, (1, 1), forcings)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="grid function samples must be finite"):
+                    apply_composite(spec, v)
+                with pytest.raises(ValueError, match="grid function samples must be finite"):
+                    apply_composite(spec, v, return_chain=True)
+
+
 class TestRadialHessian:
     @pytest.mark.parametrize("N,k", HESSIAN_PAIRS)
     def test_paraboloid_gives_binomial(self, N, k):

@@ -31,6 +31,7 @@ from hessball import (
     verify_solution,
 )
 from hessball import solver
+from hessball.core import _values
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
 CRITICAL = PowerSystemSpec(2, (1, 1), (1.0, 1.0))
@@ -75,6 +76,18 @@ class TestPicardSolve:
         big = GridFunction(50.0 * dome(301).values)
         rep = picard_solve(spec, big, tol=1e-12)
         assert rep.status is IterationStatus.DIVERGED
+        assert rep.solution is None
+
+    def test_overflowing_step_diverges(self):
+        # from norm 1e9 the first composite overflows, below DIVERGENCE_NORM
+        spec = PowerSystemSpec(2, (1, 1), (8.0, 8.0))
+        big = GridFunction(1e9 * dome(301).values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = picard_solve(spec, big)
+        assert rep.status is IterationStatus.DIVERGED
+        assert rep.iterations == 1
+        assert rep.norm_history == (math.inf,)
+        assert rep.final_delta == math.inf
         assert rep.solution is None
 
     def test_superlinear_collapse_below_the_solution_radius(self):
@@ -251,7 +264,7 @@ class TestNormProfileScan:
         apply = solver.apply_composite
 
         def hashing(spec, v1, return_chain=False):
-            seen.append(hashlib.sha256(v1.values.tobytes()).hexdigest())
+            seen.append(hashlib.sha256(_values(v1).tobytes()).hexdigest())
             return apply(spec, v1, return_chain=return_chain)
 
         monkeypatch.setattr(solver, "apply_composite", hashing)
