@@ -60,7 +60,6 @@ from .solver import (
     IterationStatus,
     _default_shape,
     lambda_product_check,
-    make_bundle,
     norm_profile_scan,
     normalized_power_iteration,
     picard_solve,
@@ -303,6 +302,11 @@ def _growth_record(run: _Run) -> str:
     return growth.condition
 
 
+def _unmet(run: _Run, reason: str) -> int:
+    run.record("hypothesis", {"reason": reason}, passed=False)
+    return EXIT_HYPOTHESIS
+
+
 def _verify_and_store(run: _Run, bundle: SolutionBundle, label: str) -> bool:
     report = verify_solution(bundle)
     run.record(
@@ -344,8 +348,7 @@ def _scenario_existence(run: _Run) -> int:
     cfg = run.config
     condition = _growth_record(run)
     if condition == "none":
-        run.record("hypothesis", {"reason": "no growth regime matches"}, passed=False)
-        return EXIT_HYPOTHESIS
+        return _unmet(run, "no growth regime matches")
 
     if condition == "C1":
         init = GridFunction(_default_shape(cfg.M))
@@ -370,8 +373,7 @@ def _scenario_multiplicity(run: _Run) -> int:
     run.record("thresholds", _fields(thresholds))
     satisfied = bool(thresholds.r0_condition) or bool(thresholds.R0_condition)
     if not satisfied:
-        run.record("hypothesis", {"reason": "threshold condition not met"}, passed=False)
-        return EXIT_HYPOTHESIS
+        return _unmet(run, "threshold condition not met")
 
     return _verify_scan(run, 2)
 
@@ -380,14 +382,9 @@ def _scenario_uniqueness(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) >= 0:
-        run.record(
-            "hypothesis",
-            {"reason": "uniqueness needs a power system with ratio below 1"},
-            passed=False,
-        )
-        return EXIT_HYPOTHESIS
+        return _unmet(run, "uniqueness needs a power system with ratio below 1")
 
-    limits = []
+    solutions = []
     for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed):
         report = picard_solve(spec, init, tol=cfg.tol)
         if report.status is not IterationStatus.CONVERGED:
@@ -395,10 +392,9 @@ def _scenario_uniqueness(run: _Run) -> int:
                 "picard", {"status": report.status}, {"tol": cfg.tol}, False
             )
             return EXIT_NUMERICAL
-        limits.append(report.solution.v[0])
-    spread = max(
-        (_rel_sup_distance(a, b) for a in limits for b in limits), default=0.0
-    )
+        solutions.append(report.solution)
+    limits = [bundle.v[0] for bundle in solutions]
+    spread = max(_rel_sup_distance(a, b) for a in limits for b in limits)
     run.record(
         "multi_start_agreement",
         {"starts": cfg.starts, "max_rel_distance": spread},
@@ -413,11 +409,13 @@ def _scenario_uniqueness(run: _Run) -> int:
     if rescaled is not None:
         scale = sup_norm(rescaled.v[0])
         rescale_dist = _rel_sup_distance(rescaled.v[0], limits[0])
-    rescale_ok = rescale_dist is not None and rescale_dist <= 1e-5
+    rescale_ok = (rescale_dist is not None and rescale_dist <= 1e-5
+                  and eig.shape_delta <= cfg.tol)
     run.record(
         "rescale_agreement",
-        {"mu": eig.mu, "scale": scale, "rel_distance": rescale_dist},
-        {"rel": 1e-5},
+        {"mu": eig.mu, "scale": scale, "rel_distance": rescale_dist,
+         "shape_delta": eig.shape_delta},
+        {"rel": 1e-5, "tol": cfg.tol},
         rescale_ok,
     )
 
@@ -434,8 +432,7 @@ def _scenario_uniqueness(run: _Run) -> int:
         passed=sub.hypothesis_ok and sub.ratio_min > 0 and sub.gain > 0,
     )
 
-    bundle = make_bundle(spec, limits[0])
-    ok = _verify_and_store(run, bundle, "1")
+    ok = _verify_and_store(run, solutions[0], "1")
     agreed = spread <= 1e-5 and rescale_ok and single
     return EXIT_OK if (ok and agreed) else EXIT_NUMERICAL
 
@@ -444,21 +441,18 @@ def _scenario_nonexistence(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
-        run.record(
-            "hypothesis",
-            {"reason": "nonexistence needs a power system with ratio exactly 1"},
-            passed=False,
-        )
-        return EXIT_HYPOTHESIS
+        return _unmet(run, "nonexistence needs a power system with ratio exactly 1")
 
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     bound = chain_contraction_bound(spec)
-    contraction_ok = eig.mu < 1.0 and eig.mu <= bound
+    contraction_ok = eig.mu < 1.0 and eig.mu <= bound and eig.shape_delta <= cfg.tol
     run.record(
         "contraction",
-        {"mu": eig.mu, "bound": bound, "lambda0": eig.lambda0},
-        passed=contraction_ok,
+        {"mu": eig.mu, "bound": bound, "lambda0": eig.lambda0,
+         "shape_delta": eig.shape_delta},
+        {"tol": cfg.tol},
+        contraction_ok,
     )
 
     collapsed = 0
@@ -481,33 +475,32 @@ def _scenario_eigenvalue(run: _Run) -> int:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
-        run.record(
-            "hypothesis",
-            {"reason": "eigenvalue scenario needs a power system with ratio exactly 1"},
-            passed=False,
+        return _unmet(
+            run, "eigenvalue scenario needs a power system with ratio exactly 1"
         )
-        return EXIT_HYPOTHESIS
 
+    # random starts first, so eig.solution is not held while they run
+    values = [normalized_power_iteration(spec, init, tol=cfg.tol).lambda0
+              for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed)]
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
-    values = [eig.lambda0]
-    for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed):
-        values.append(normalized_power_iteration(spec, init, tol=cfg.tol).lambda0)
+    values.append(eig.lambda0)
     spread = (max(values) - min(values)) / min(values)
+    all_ok = spread <= 1e-6 and eig.shape_delta <= cfg.tol
     run.record(
         "eigenvalue",
         {
             "lambda0": eig.lambda0,
             "mu": eig.mu,
             "iterations": eig.iterations,
+            "shape_delta": eig.shape_delta,
             "spread": spread,
             "starts": cfg.starts + 1,
         },
-        {"spread_rel": 1e-6},
-        spread <= 1e-6,
+        {"spread_rel": 1e-6, "tol": cfg.tol},
+        all_ok,
     )
 
-    all_ok = spread <= 1e-6
     for lam in cfg.lambdas:
         try:
             check = lambda_product_check(spec, lam, eig)
@@ -519,7 +512,7 @@ def _scenario_eigenvalue(run: _Run) -> int:
             passed=check.matches,
         )
 
-    run.add_solution(make_bundle(spec, eig.shape))
+    run.add_solution(eig.solution)
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 

@@ -234,14 +234,18 @@ def PowerSystemSpec(N: int, k: tuple[int, ...], gamma: tuple[float, ...]) -> Sys
 class SolutionBundle:
     """A candidate solution: one nonnegative profile per unknown.
 
-    Diagnostics are not stored here; verify_solution computes them.
+    Profiles may be given as GridFunctions or raw arrays (a composite's
+    chain); raw arrays are wrapped.  Diagnostics are not stored here;
+    verify_solution computes them.
     """
 
     v: tuple[GridFunction, ...]
     spec: SystemSpec
 
     def __post_init__(self) -> None:
-        v = tuple(self.v)
+        v = tuple(
+            vi if isinstance(vi, GridFunction) else GridFunction(vi) for vi in self.v
+        )
         if len(v) != self.spec.n:
             raise ValueError("bundle needs one profile per equation")
         sizes = {vi.grid_size for vi in v}

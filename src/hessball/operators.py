@@ -165,12 +165,13 @@ def apply_composite(
     """Cyclic composition: equation n's operator first, then n-1, ..., then 1.
 
     Feeding v1 (the profile coupled to equation n) through the whole cycle
-    returns the updated first unknown.  With return_chain=True the result is
-    the tuple (w1, ..., wn) of all intermediate outputs, where wn is the
-    innermost application and w1 the final one.  v1 may be a GridFunction or
-    a raw array; it is checked once, every operator output is checked for
-    finiteness (NonFiniteError, a ValueError), and the operators share one
-    quadrature plan and pass raw arrays between them.
+    returns the updated first unknown as a GridFunction.  With
+    return_chain=True the result is the tuple (w1, ..., wn) of all
+    intermediate outputs as raw arrays, where wn is the innermost
+    application and w1 the final one; a SolutionBundle wraps them.  v1 may
+    be a GridFunction or a raw array; it is checked once, every operator
+    output is checked for finiteness (NonFiniteError, a ValueError), and the
+    operators share one quadrature plan and pass raw arrays between them.
     """
     w = _checked_input(v1)
     plan = QuadratureTable(w.size)
@@ -179,9 +180,7 @@ def apply_composite(
         w = _grid_samples(_apply(spec, i, w, plan))
         if return_chain:
             chain.append(w)
-    if return_chain:
-        return tuple(GridFunction(wi) for wi in reversed(chain))
-    return GridFunction(w)
+    return tuple(reversed(chain)) if return_chain else GridFunction(w)
 
 
 def _derivatives(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

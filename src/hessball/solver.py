@@ -91,10 +91,10 @@ def make_bundle(spec: SystemSpec, v1: GridFunction) -> SolutionBundle:
     equation up to quadrature error; the fixed-point error shows up only in
     the last equation's coupling back to profile 1.
     """
-    chain = apply_composite(spec, v1, return_chain=True)
-    return SolutionBundle(v=chain, spec=spec)
+    return SolutionBundle(v=apply_composite(spec, v1, return_chain=True), spec=spec)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def picard_solve(
     spec: SystemSpec,
     init: GridFunction,
@@ -109,7 +109,9 @@ def picard_solve(
     decay to zero is reported as collapse, not as convergence to the
     trivial fixed point; divergence trips at norm 1e10, and MAX_ITER after
     PICARD_MAX_ITER steps.  A step whose composite overflows (non-finite
-    samples) also ends in DIVERGED, with an infinite norm and delta.
+    samples) reads as an infinite norm and delta, so it also ends in
+    DIVERGED; numpy's overflow warnings are off for the call.  The bundle
+    is the last composite's chain, so its coupling defect is final_delta.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -121,42 +123,33 @@ def picard_solve(
     history: list[float] = []
     delta = math.inf
     status = IterationStatus.MAX_ITER
-    iterations = PICARD_MAX_ITER
-    for it in range(1, PICARD_MAX_ITER + 1):
+    for _ in range(PICARD_MAX_ITER):
         try:
-            w = apply_composite(spec, v).values
+            chain = apply_composite(spec, v, return_chain=True)
         except NonFiniteError:
-            delta = math.inf
-            history.append(math.inf)
-            status = IterationStatus.DIVERGED
-            iterations = it
-            break
-        delta = float(np.max(np.abs(w - v)))
-        v = w
-        norm = float(np.max(np.abs(v)))
+            delta = norm = math.inf
+        else:
+            delta = sup_norm(chain[0] - v)
+            v = chain[0]
+            norm = sup_norm(v)
         history.append(norm)
         if norm < COLLAPSE_RELATIVE * init_norm:
             status = IterationStatus.COLLAPSED_TO_ZERO
-            iterations = it
-            break
-        if norm > DIVERGENCE_NORM:
+        elif norm > DIVERGENCE_NORM:
             status = IterationStatus.DIVERGED
-            iterations = it
-            break
-        if delta <= tol * (1.0 + norm):
+        elif delta <= tol * (1.0 + norm):
             status = IterationStatus.CONVERGED
-            iterations = it
-            break
+        else:
+            continue
+        break
 
-    solution = None
-    if status is IterationStatus.CONVERGED:
-        solution = make_bundle(spec, GridFunction(v))
+    converged = status is IterationStatus.CONVERGED
     return IterationReport(
         status=status,
-        iterations=iterations,
+        iterations=len(history),
         norm_history=tuple(history),
         final_delta=delta,
-        solution=solution,
+        solution=SolutionBundle(v=chain, spec=spec) if converged else None,
     )
 
 
@@ -166,7 +159,8 @@ class EigenResult:
 
     shape has unit sup norm; mu = ||A(shape)||; lambda0 = 1/mu is the unique
     multiplier for which v = lambda0 A(v) has a nonzero cone solution when
-    the map is homogeneous of degree 1.
+    the map is homogeneous of degree 1.  solution is the chain of A(shape),
+    the iteration's last composite; shape_delta is that step's shape change.
     """
 
     shape: GridFunction
@@ -174,6 +168,7 @@ class EigenResult:
     lambda0: float
     shape_delta: float
     iterations: int
+    solution: SolutionBundle
 
 
 def _shape_iteration(
@@ -182,30 +177,29 @@ def _shape_iteration(
     shape: np.ndarray,
     tol: float = SCAN_INNER_TOL,
     max_iter: int = SCAN_MAX_INNER,
-) -> tuple[np.ndarray, tuple[GridFunction, ...], float, int]:
-    """Run v <- r A(v)/||A(v)|| to shape tolerance, then apply A to r v once more.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, int]:
+    """Run v <- r A(v)/||A(v)|| until a step changes the shape by at most tol.
 
-    Returns (shape, chain, delta, iterations), where chain is the chain of
-    that last composite, so G = ||A(r v)|| is sup_norm(chain[0]), and delta
-    is the last shape change.  An annihilated iterate (A(r v) = 0) returns
-    that composite's chain and delta = inf, so it never counts as converged.
+    Returns (shape, chain, delta, iterations) of the last step: shape is
+    its input, chain the chain of A(r shape), so G = ||A(r shape)|| is
+    sup_norm(chain[0]), and delta its shape change.  An annihilated
+    iterate (A(r shape) = 0) stops with delta = inf, so it never counts as
+    converged.
     """
-    delta = math.inf
+    new_shape = shape
     for it in range(1, max_iter + 1):
-        chain = apply_composite(spec, r * shape, return_chain=True)
-        w = chain[0]
-        norm = sup_norm(w)
-        if norm == 0:
-            return shape, chain, math.inf, it
-        # only w outlives the step: keeping the whole chain, or nothing,
-        # across the next composite ran 4-18% slower at M = 64001
-        del chain
-        new_shape = w.values / norm
-        delta = float(np.max(np.abs(new_shape - shape)))
         shape = new_shape
+        # the last chain stays alive across this composite: dropping it first
+        # tripled the page faults, ~35% slower at M = 64001 on a Xeon VM
+        chain = apply_composite(spec, r * shape, return_chain=True)
+        norm = sup_norm(chain[0])
+        if norm == 0:
+            delta = math.inf
+            break
+        new_shape = chain[0] / norm
+        delta = sup_norm(new_shape - shape)
         if delta <= tol:
             break
-    chain = apply_composite(spec, r * shape, return_chain=True)
     return shape, chain, delta, it
 
 
@@ -234,6 +228,7 @@ def normalized_power_iteration(
         lambda0=1.0 / mu,
         shape_delta=delta,
         iterations=iterations,
+        solution=SolutionBundle(v=chain, spec=spec),
     )
 
 
@@ -268,7 +263,8 @@ class NormProfile:
     bracket's bisection stopped; solutions its chain of A, or None where the
     fixed-point defect failed acceptance.  converged marks radii whose inner
     shape iteration met its tolerance (never where the map annihilates the
-    profile); roots are accepted by their defect, not by these flags.
+    profile or a composite overflows, where G is inf); roots are accepted by
+    their defect, not by these flags.
     """
 
     radii: tuple[float, ...]
@@ -284,6 +280,16 @@ def _default_shape(M: int) -> np.ndarray:
     return 1.0 - t * t
 
 
+def _scan_step(spec: SystemSpec, r: float, shape: np.ndarray):
+    """_shape_iteration at r as (shape, chain, delta, G); overflow: chain None, G inf."""
+    try:
+        shape, chain, delta, _ = _shape_iteration(spec, r, shape)
+    except NonFiniteError:
+        return shape, None, math.inf, math.inf
+    return shape, chain, delta, sup_norm(chain[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def norm_profile_scan(
     spec: SystemSpec,
     r_min: float,
@@ -299,9 +305,11 @@ def norm_profile_scan(
     A(v) for v = r shape, so both G(r) and the defect max|A(v) - v|; bisection
     stops once the defect is at most SCAN_INNER_TOL r (or the bracket cannot
     be halved), and that chain is the root's bundle, accepted when the defect
-    is at most ACCEPT_DEFECT (1 + r).  Deliberately not picard_solve: a root
-    can be repelling, and its profile can sit outside the cone (steeply
-    decreasing forcing bends the tail convex), so no march and no cone gate.
+    is at most ACCEPT_DEFECT (1 + r).  An overflowing composite reads as
+    G = inf (numpy's overflow warnings are off for the call).  Deliberately
+    not picard_solve: a root can be repelling, and its profile can sit
+    outside the cone (steeply decreasing forcing bends the tail convex), so
+    no march and no cone gate.
     """
     if not 0 < r_min < r_max:
         raise ValueError("need 0 < r_min < r_max")
@@ -314,8 +322,7 @@ def norm_profile_scan(
     shapes: list[np.ndarray] = []
     shape = _default_shape(grid_size)
     for j, r in enumerate(radii):
-        shape, chain, delta, _ = _shape_iteration(spec, float(r), shape)
-        values[j] = sup_norm(chain[0])
+        shape, _, delta, values[j] = _scan_step(spec, float(r), shape)
         converged[j] = delta <= SCAN_INNER_TOL
         shapes.append(shape)
 
@@ -328,14 +335,11 @@ def norm_profile_scan(
         shape = shapes[j]
         mid = 0.5 * (lo + hi)
         while True:
-            shape, chain, _, _ = _shape_iteration(spec, mid, shape)
-            defect = float(np.max(np.abs(chain[0].values - mid * shape)))
+            shape, chain, _, G = _scan_step(spec, mid, shape)
+            defect = math.inf if chain is None else sup_norm(chain[0] - mid * shape)
             if defect <= SCAN_INNER_TOL * mid:
                 break
-            if np.signbit(sup_norm(chain[0]) - mid) == negative[j]:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if np.signbit(G - mid) == negative[j] else (lo, mid)
             if not lo < 0.5 * (lo + hi) < hi:
                 break
             mid = 0.5 * (lo + hi)

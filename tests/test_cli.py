@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hessball
+from hessball import solver
 from hessball import (
     EigenResult,
     GridFunction,
@@ -16,6 +17,7 @@ from hessball import (
     classify_growth,
     grid_points,
     lambda_product_check,
+    make_bundle,
     rescale_to_solution,
     sublinearity_check,
     unit_ratio_sign,
@@ -298,6 +300,48 @@ class TestExitCodes:
         assert record["values"]["scale"] is None
         assert record["values"]["rel_distance"] is None
 
+    @pytest.mark.parametrize(
+        "scenario, gamma, kind, steps",
+        [
+            ("eigenvalue", [1, 1], "eigenvalue", 6),
+            ("nonexistence", [1, 1], "contraction", 6),
+            ("uniqueness", [0.5, 0.5], "rescale_agreement", 5),
+        ],
+    )
+    def test_unconverged_power_iteration_fails(
+        self, tmp_path, monkeypatch, scenario, gamma, kind, steps
+    ):
+        # after `steps` steps the shape still moves by ~1e-9 to 7e-9 > tol,
+        # while the eigenvalue spread and the rescale distance already pass
+        data = {"scenario": scenario, "N": 2, "k": [1, 1], "gamma": gamma,
+                "M": 301, "points": 16, "starts": 2}
+        path = write_config(tmp_path, "p.json", data)
+        for max_iter, code in ((solver.POWER_MAX_ITER, 0), (2, 4), (steps, 4)):
+            monkeypatch.setattr(solver, "POWER_MAX_ITER", max_iter)
+            out = tmp_path / f"out_{max_iter}"
+            assert main(["run", path, "--out", str(out), "--quiet"]) == code
+            lines = (out / "report.jsonl").read_text().splitlines()
+            record = next(r for r in map(json.loads, lines) if r["kind"] == kind)
+            converged = record["values"]["shape_delta"] <= record["tolerances"]["tol"]
+            assert converged is (code == 0)
+            assert record["pass"] is converged
+
+    def test_overflowing_scan_is_no_error(self, tmp_path):
+        # gamma = (20, 20) overflows at the top of the default r-range; the
+        # scan reads those radii as G = inf and still brackets the root
+        data = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [20, 20],
+                "M": 301}
+        path = write_config(tmp_path, "x.json", data)
+        out = tmp_path / "out"
+        main(["run", path, "--out", str(out), "--quiet"])
+        lines = (out / "report.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        kinds = [r["kind"] for r in records]
+        assert "error" not in kinds and kinds[-1] == "solutions_found"
+        profile = records[kinds.index("norm_profile")]["values"]
+        assert len(profile["roots"]) == 1
+        assert profile["values"][-1] == "inf" and profile["converged"][-1] is False
+
     def test_failed_run_keeps_its_report(self, tmp_path, monkeypatch):
         def broken_scan(*args, **kwargs):
             raise RuntimeError("scan broke")
@@ -576,7 +620,8 @@ class TestUnitRatio:
         assert sublinearity_check(spec, shape, 0.5).hypothesis_ok == (side < 0)
         # mu = 1 keeps the rescale finite for every ratio but 1
         eig = EigenResult(
-            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=0
+            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=0,
+            solution=make_bundle(spec, shape),
         )
         assert (rescale_to_solution(spec, eig) is None) == (side == 0)
         if side == 0:

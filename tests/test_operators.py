@@ -178,9 +178,9 @@ class TestApplyComposite:
         chain = apply_composite(spec, v1, return_chain=True)
         assert len(chain) == 3
         innermost = apply_operator(spec, 3, v1)
-        np.testing.assert_array_equal(chain[2].values, innermost.values)
+        np.testing.assert_array_equal(chain[2], innermost.values)
         w = apply_composite(spec, v1)
-        np.testing.assert_array_equal(chain[0].values, w.values)
+        np.testing.assert_array_equal(chain[0], w.values)
 
     def test_composite_homogeneity(self):
         spec = PowerSystemSpec(3, (2, 1), (1.0, 0.5))
@@ -254,8 +254,8 @@ def assert_kernel_matches_reference(N, k, f, M):
     np.testing.assert_array_equal(apply_operator(spec, 2, v).values, w2)
     np.testing.assert_array_equal(apply_operator(spec, 1, GridFunction(w2)).values, w1)
     chain = apply_composite(spec, v, return_chain=True)
-    np.testing.assert_array_equal(chain[1].values, w2)
-    np.testing.assert_array_equal(chain[0].values, w1)
+    np.testing.assert_array_equal(chain[1], w2)
+    np.testing.assert_array_equal(chain[0], w1)
     np.testing.assert_array_equal(apply_composite(spec, GridFunction(v)).values, w1)
 
 

@@ -51,7 +51,7 @@ class TestMakeBundle:
         bundle = make_bundle(SUBLINEAR, v1)
         chain = apply_composite(SUBLINEAR, v1, return_chain=True)
         for stored, computed in zip(bundle.v, chain):
-            np.testing.assert_array_equal(stored.values, computed.values)
+            np.testing.assert_array_equal(stored.values, computed)
 
 
 class TestPicardSolve:
@@ -82,8 +82,7 @@ class TestPicardSolve:
         # from norm 1e9 the first composite overflows, below DIVERGENCE_NORM
         spec = PowerSystemSpec(2, (1, 1), (8.0, 8.0))
         big = GridFunction(1e9 * dome(301).values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = picard_solve(spec, big)
+        rep = picard_solve(spec, big)
         assert rep.status is IterationStatus.DIVERGED
         assert rep.iterations == 1
         assert rep.norm_history == (math.inf,)
@@ -212,11 +211,12 @@ class TestRescaleToSolution:
 
     def test_unit_mu_means_no_rescaling(self):
         shape = dome(301)
+        expected = make_bundle(SUBLINEAR, shape)
         eig = EigenResult(
-            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1
+            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1,
+            solution=expected,
         )
         bundle = rescale_to_solution(SUBLINEAR, eig)
-        expected = make_bundle(SUBLINEAR, shape)
         np.testing.assert_array_equal(bundle.v[0].values, expected.v[0].values)
 
 
@@ -280,6 +280,18 @@ class TestNormProfileScan:
         assert len(prof.roots) == 1
         assert prof.solutions[0] is not None
 
+    def test_overflowing_radii_read_as_infinite(self):
+        # G = mu r^400 overflows above r ~ 2: those radii read inf and the
+        # one bracket below them polishes to the root of the short range
+        spec = PowerSystemSpec(2, (1, 1), (20.0, 20.0))
+        short = norm_profile_scan(spec, 0.3, 3.0, 24, grid_size=1001)
+        wide = norm_profile_scan(spec, 0.3, 1e3, 24, grid_size=1001)
+        assert len(wide.roots) == 1 and wide.solutions[0] is not None
+        assert abs(wide.roots[0] - short.roots[0]) <= 1e-9 * short.roots[0]
+        overflowed = [j for j, g in enumerate(wide.values) if g == math.inf]
+        assert overflowed and overflowed[-1] == len(wide.radii) - 1
+        assert not any(wide.converged[j] for j in overflowed)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             norm_profile_scan(SUBLINEAR, 0.0, 1.0, 16)
@@ -287,6 +299,71 @@ class TestNormProfileScan:
             norm_profile_scan(SUBLINEAR, 2.0, 1.0, 16)
         with pytest.raises(ValueError):
             norm_profile_scan(SUBLINEAR, 1e-2, 1e2, 7)
+
+
+def record_composites(monkeypatch):
+    """Every (input, chain) that goes through solver.apply_composite."""
+    calls = []
+    apply = solver.apply_composite
+
+    def recording(spec, v1, return_chain=False):
+        out = apply(spec, v1, return_chain=return_chain)
+        calls.append((np.array(_values(v1)), out))
+        return out
+
+    monkeypatch.setattr(solver, "apply_composite", recording)
+    return calls
+
+
+class TestOneCompositePerStep:
+    """Each solver reads its result from the last composite it computed."""
+
+    def test_picard_bundle_is_the_last_chain(self, monkeypatch):
+        calls = record_composites(monkeypatch)
+        rep = picard_solve(SUBLINEAR, dome(301))
+        assert rep.status is IterationStatus.CONVERGED
+        assert len(calls) == rep.iterations
+        last_input, last_chain = calls[-1]
+        for stored, computed in zip(rep.solution.v, last_chain):
+            np.testing.assert_array_equal(stored.values, computed)
+        # the bundle's coupling back to the step input is the tested defect
+        assert sup_norm(rep.solution.v[0].values - last_input) == rep.final_delta
+
+    def test_power_iteration_solution_is_the_last_chain(self, monkeypatch):
+        calls = record_composites(monkeypatch)
+        eig = normalized_power_iteration(LAPLACE_3D, dome(401), tol=1e-12)
+        assert len(calls) == eig.iterations
+        np.testing.assert_array_equal(calls[-1][0], eig.shape.values)
+        monkeypatch.undo()
+        expected = make_bundle(LAPLACE_3D, eig.shape)
+        for got, want in zip(eig.solution.v, expected.v):
+            np.testing.assert_array_equal(got.values, want.values)
+        assert eig.mu == sup_norm(eig.solution.v[0])
+
+    @pytest.mark.parametrize(
+        "spec, r_min, r_max, points",
+        [
+            (SystemSpec(2, (1, 1), (MULT_FORCING,) * 2), 1e-4, 1e4, 48),
+            (PowerSystemSpec(2, (1, 1), (3.0, 3.0)), 1e-200, 1e3, 16),
+        ],
+        ids=["criterion9", "annihilated"],
+    )
+    def test_scan_composites_are_its_inner_iterations(
+        self, monkeypatch, spec, r_min, r_max, points
+    ):
+        calls = record_composites(monkeypatch)
+        inner = []
+        shape_iteration = solver._shape_iteration
+
+        def counting(*args, **kwargs):
+            out = shape_iteration(*args, **kwargs)
+            inner.append(out[3])
+            return out
+
+        monkeypatch.setattr(solver, "_shape_iteration", counting)
+        prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
+        assert prof.roots
+        assert len(calls) == sum(inner)
 
 
 class TestLambdaMachinery:
@@ -356,7 +433,8 @@ class TestPurePowerPreconditions:
     # 2 v^0.5 is a power of v, but not exactly v**gamma, so spec.gamma is None
     TWO_ROOT = SystemSpec(2, (1, 1), (NonlinearitySpec(((2.0, 0.0, 0.5),)),) * 2)
     EIG = EigenResult(
-        shape=dome(101), mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1
+        shape=dome(101), mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1,
+        solution=make_bundle(CRITICAL, dome(101)),
     )
 
     @pytest.mark.parametrize(
