@@ -116,6 +116,10 @@ class ScenarioConfig:
             raise ConfigError("tol must be positive")
         if self.starts < 1:
             raise ConfigError("starts must be at least 1")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise ConfigError("need 0 < r_min < r_max, both finite")
+        if self.points < 8:
+            raise ConfigError("need at least 8 scan points")
         if self.scenario == "multiplicity" and self.r0 is None and self.R0 is None:
             raise ConfigError("multiplicity scenario needs r0 or R0")
         if self.scenario == "verify" and self.solution_csv is None:

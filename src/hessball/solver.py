@@ -63,6 +63,7 @@ PICARD_MAX_ITER = 500
 POWER_MAX_ITER = 500
 SCAN_INNER_TOL = 1e-10
 SCAN_MAX_INNER = 300
+POLISH_MAX_STEPS = 64
 ACCEPT_DEFECT = 1e-8
 LAMBDA_PRODUCT_RTOL = 1e-6
 
@@ -260,7 +261,8 @@ class NormProfile:
 
     sign_changes holds the neighbouring radii where the sign bit of G(r) - r
     flips (zero counts as non-negative); roots the radius where each
-    bracket's bisection stopped; solutions its chain of A, or None where the
+    bracket's polish stopped, and polish_steps the number of radii it
+    evaluated there; solutions its chain of A, or None where the
     fixed-point defect failed acceptance.  converged marks radii whose inner
     shape iteration met its tolerance (never where the map annihilates the
     profile or a composite overflows, where G is inf); roots are accepted by
@@ -272,6 +274,7 @@ class NormProfile:
     converged: tuple[bool, ...]
     sign_changes: tuple[tuple[float, float], ...]
     roots: tuple[float, ...]
+    polish_steps: tuple[int, ...]
     solutions: tuple[SolutionBundle | None, ...]
 
 
@@ -300,19 +303,23 @@ def norm_profile_scan(
     """Profile the composite map's norm response over log-spaced radii.
 
     Every root of G(r) - r is a candidate solution norm.  Neighbouring radii
-    where the sign bit of G(r) - r flips are bisected from the coarse pass's
-    shape at the lower radius.  The last composite at a midpoint r gives
-    A(v) for v = r shape, so both G(r) and the defect max|A(v) - v|; bisection
-    stops once the defect is at most SCAN_INNER_TOL r (or the bracket cannot
-    be halved), and that chain is the root's bundle, accepted when the defect
-    is at most ACCEPT_DEFECT (1 + r).  An overflowing composite reads as
-    G = inf (numpy's overflow warnings are off for the call).  Deliberately
-    not picard_solve: a root can be repelling, and its profile can sit
-    outside the cone (steeply decreasing forcing bends the tail convex), so
-    no march and no cone gate.
+    where the sign bit of G(r) - r flips are polished by Illinois regula
+    falsi (Dowell & Jarratt 1971) on psi(x) = log G - x, x = log r, which is
+    affine once the shape has converged for a pure power, from the coarse
+    values at both ends and the coarse shape at the lower one.  An end at
+    G = 0 or inf, or a secant point not strictly inside the bracket, takes
+    the bisection step in x instead.  The last composite at a point r gives
+    A(v) for v = r shape, so both G(r) and the defect max|A(v) - v|; the
+    polish stops once the defect is at most SCAN_INNER_TOL r, the bracket
+    cannot be split, or after POLISH_MAX_STEPS points, and that chain is the
+    root's bundle, accepted when the defect is at most ACCEPT_DEFECT (1 + r).
+    An overflowing composite reads as G = inf (numpy's overflow warnings are
+    off for the call).  Deliberately not picard_solve: a root can be
+    repelling, and its profile can sit outside the cone (steeply decreasing
+    forcing bends the tail convex), so no march and no cone gate.
     """
-    if not 0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
+    if not 0 < r_min < r_max < math.inf:
+        raise ValueError("need 0 < r_min < r_max, both finite")
     if points < 8:
         raise ValueError("need at least 8 scan points")
 
@@ -330,21 +337,40 @@ def norm_profile_scan(
     crossings = np.flatnonzero(negative[:-1] != negative[1:])
     brackets = tuple((float(radii[j]), float(radii[j + 1])) for j in crossings)
     roots: list[float] = []
+    steps: list[int] = []
     solutions: list[SolutionBundle | None] = []
     for j, (lo, hi) in zip(crossings, brackets):
         shape = shapes[j]
-        mid = 0.5 * (lo + hi)
-        while True:
-            shape, chain, _, G = _scan_step(spec, mid, shape)
-            defect = math.inf if chain is None else sup_norm(chain[0] - mid * shape)
-            if defect <= SCAN_INNER_TOL * mid:
+        # bracket ends in x = log r with psi = log G - x, nan where G is 0 or inf
+        x = [math.log(lo), math.log(hi)]
+        psi = [
+            math.log(g) - xe if 0 < g < math.inf else math.nan
+            for g, xe in zip(values[j : j + 2], x)
+        ]
+        step, last_end = 0, None
+        while step < POLISH_MAX_STEPS:
+            point = math.nan
+            if psi[0] != psi[1]:
+                point = x[0] - psi[0] * (x[1] - x[0]) / (psi[1] - psi[0])
+            if not x[0] < point < x[1]:
+                point = 0.5 * (x[0] + x[1])
+            if step and not x[0] < point < x[1]:
                 break
-            lo, hi = (mid, hi) if np.signbit(G - mid) == negative[j] else (lo, mid)
-            if not lo < 0.5 * (lo + hi) < hi:
+            r = math.exp(point)
+            shape, chain, _, G = _scan_step(spec, r, shape)
+            step += 1
+            defect = math.inf if chain is None else sup_norm(chain[0] - r * shape)
+            if defect <= SCAN_INNER_TOL * r:
                 break
-            mid = 0.5 * (lo + hi)
-        roots.append(mid)
-        accepted = defect <= ACCEPT_DEFECT * (1.0 + mid)
+            end = 0 if np.signbit(G - r) == negative[j] else 1
+            x[end] = point
+            psi[end] = math.log(G) - point if 0 < G < math.inf else math.nan
+            if end == last_end:  # Illinois: halve the end kept twice in a row
+                psi[1 - end] *= 0.5
+            last_end = end
+        roots.append(r)
+        steps.append(step)
+        accepted = defect <= ACCEPT_DEFECT * (1.0 + r)
         solutions.append(SolutionBundle(v=chain, spec=spec) if accepted else None)
 
     return NormProfile(
@@ -353,6 +379,7 @@ def norm_profile_scan(
         converged=tuple(bool(c) for c in converged),
         sign_changes=brackets,
         roots=tuple(roots),
+        polish_steps=tuple(steps),
         solutions=tuple(solutions),
     )
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from hessball.cli import (
 )
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
+SCAN_SYSTEM = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [2, 2]}
 
 
 def write_config(tmp_path, name, data):
@@ -131,6 +133,13 @@ class TestLoadConfig:
             },
             {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS},
             {"scenario": "verify", "N": 2, "k": [1, 1], "gamma": [0.5, 0.5]},
+            {**SCAN_SYSTEM, "r_min": 2.0, "r_max": 1.0},
+            {**SCAN_SYSTEM, "r_min": 1.0, "r_max": 1.0},
+            {**SCAN_SYSTEM, "r_min": 0.0},
+            {**SCAN_SYSTEM, "r_min": -1e-3},
+            {**SCAN_SYSTEM, "r_max": 1e400},  # parses to inf
+            {**SCAN_SYSTEM, "r_min": math.nan},
+            {**SCAN_SYSTEM, "points": 7},
         ],
         ids=[
             "no-scenario",
@@ -144,6 +153,13 @@ class TestLoadConfig:
             "bad-lambda",
             "multiplicity-without-anchor",
             "verify-without-csv",
+            "reversed-range",
+            "empty-range",
+            "zero-radius",
+            "negative-radius",
+            "infinite-radius",
+            "nan-radius",
+            "few-points",
         ],
     )
     def test_rejected_configs(self, tmp_path, broken):

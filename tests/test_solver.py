@@ -299,6 +299,104 @@ class TestNormProfileScan:
             norm_profile_scan(SUBLINEAR, 2.0, 1.0, 16)
         with pytest.raises(ValueError):
             norm_profile_scan(SUBLINEAR, 1e-2, 1e2, 7)
+        # a log-r polish cannot start from an infinite or undefined end
+        for r_min, r_max in [(1e-2, math.inf), (math.nan, 1.0), (1e-2, math.nan)]:
+            with pytest.raises(ValueError):
+                norm_profile_scan(SUBLINEAR, r_min, r_max, 16)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
+    """norm_profile_scan as first written, polishing by bisection in r.
+
+    Returns (sign_changes, roots, solutions).
+    """
+    radii = np.logspace(math.log10(r_min), math.log10(r_max), points)
+    values = np.empty(points)
+    shapes = []
+    shape = solver._default_shape(grid_size)
+    for j, r in enumerate(radii):
+        shape, _, _, values[j] = solver._scan_step(spec, float(r), shape)
+        shapes.append(shape)
+
+    negative = np.signbit(values - radii)
+    crossings = np.flatnonzero(negative[:-1] != negative[1:])
+    brackets = tuple((float(radii[j]), float(radii[j + 1])) for j in crossings)
+    roots, solutions = [], []
+    for j, (lo, hi) in zip(crossings, brackets):
+        shape = shapes[j]
+        mid = 0.5 * (lo + hi)
+        while True:
+            shape, chain, _, G = solver._scan_step(spec, mid, shape)
+            defect = math.inf if chain is None else sup_norm(chain[0] - mid * shape)
+            if defect <= solver.SCAN_INNER_TOL * mid:
+                break
+            lo, hi = (mid, hi) if np.signbit(G - mid) == negative[j] else (lo, mid)
+            if not lo < 0.5 * (lo + hi) < hi:
+                break
+            mid = 0.5 * (lo + hi)
+        roots.append(mid)
+        accepted = defect <= solver.ACCEPT_DEFECT * (1.0 + mid)
+        solutions.append(chain if accepted else None)
+    return brackets, tuple(roots), tuple(solutions)
+
+
+# a two-term forcing whose log G - log r bends strongly across a wide
+# bracket, so plain regula falsi keeps one end and converges only linearly
+STIFF_FORCING = NonlinearitySpec(((1.0, 0.0, 0.5), (0.01, 0.0, 4.0)))
+POLISH_SCANS = {
+    "criterion9": (SystemSpec(2, (1, 1), (MULT_FORCING,) * 2), 1e-4, 1e4, 48),
+    "gamma22": (PowerSystemSpec(2, (1, 1), (2.0, 2.0)), 1e-3, 1e3, 32),
+    "gamma2020": (PowerSystemSpec(2, (1, 1), (20.0, 20.0)), 0.3, 3.0, 24),
+    "gamma2020-overflowing": (PowerSystemSpec(2, (1, 1), (20.0, 20.0)), 0.3, 1e3, 24),
+    "sublinear": (SUBLINEAR, 1e-3, 1e3, 32),
+    "N3-k12": (PowerSystemSpec(3, (1, 2), (0.5, 1.5)), 1e-3, 1e3, 32),
+    "N3-k23-mixed": (SystemSpec(3, (2, 3), (MULT_FORCING,) * 2), 1e-4, 1e4, 48),
+    "annihilated": (PowerSystemSpec(2, (1, 1), (3.0, 3.0)), 1e-200, 1e3, 16),
+    # bracket ends where G = 0 and where G = inf start the polish by bisection
+    "annihilated-end": (PowerSystemSpec(2, (1, 1), (3.0, 3.0)), 1e-300, 1e3, 8),
+    "overflowing-end": (PowerSystemSpec(2, (1, 1), (20.0, 20.0)), 0.1, 1e7, 8),
+    "stiff": (SystemSpec(2, (1, 1), (STIFF_FORCING,) * 2), 1e-4, 1e4, 16),
+}
+
+
+class TestPolishMatchesBisection:
+    """The regula falsi polish against reference_bisection_scan."""
+
+    @pytest.mark.parametrize("name", sorted(POLISH_SCANS))
+    def test_same_brackets_verdicts_and_roots(self, monkeypatch, name):
+        spec, r_min, r_max, points = POLISH_SCANS[name]
+        calls = record_composites(monkeypatch)
+        brackets, roots, solutions = reference_bisection_scan(
+            spec, r_min, r_max, points, 301
+        )
+        reference_composites = len(calls)
+        prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
+        assert brackets and prof.sign_changes == brackets
+        assert [s is not None for s in prof.solutions] == [
+            s is not None for s in solutions
+        ]
+        # the defect stop is 1e-10 r, so two stops can sit 2e-10 apart
+        np.testing.assert_allclose(prof.roots, roots, rtol=1e-9, atol=0)
+        assert len(calls) - reference_composites <= reference_composites
+        assert len(prof.polish_steps) == len(brackets)
+
+    def test_bent_brackets_polish_superlinearly(self):
+        # bisection takes about 30 points per bracket here; plain regula
+        # falsi, without the Illinois halving, takes 16 on the stiff one
+        crit9 = norm_profile_scan(*POLISH_SCANS["criterion9"], grid_size=301)
+        assert sum(crit9.polish_steps) <= 12
+        stiff = norm_profile_scan(*POLISH_SCANS["stiff"], grid_size=301)
+        assert max(stiff.polish_steps) <= 12
+
+    @pytest.mark.parametrize("name", ["annihilated-end", "overflowing-end"])
+    def test_bisection_cases_have_a_zero_or_infinite_end(self, name):
+        # the premise that makes these two scans exercise the fallback
+        spec, r_min, r_max, points = POLISH_SCANS[name]
+        prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
+        ((lo, _),) = prof.sign_changes
+        j = prof.radii.index(lo)
+        assert prof.values[j] == 0.0 or prof.values[j + 1] == math.inf
 
 
 def record_composites(monkeypatch):
@@ -345,8 +443,9 @@ class TestOneCompositePerStep:
         [
             (SystemSpec(2, (1, 1), (MULT_FORCING,) * 2), 1e-4, 1e4, 48),
             (PowerSystemSpec(2, (1, 1), (3.0, 3.0)), 1e-200, 1e3, 16),
+            (PowerSystemSpec(2, (1, 1), (3.0, 3.0)), 1e-300, 1e3, 8),
         ],
-        ids=["criterion9", "annihilated"],
+        ids=["criterion9", "annihilated", "annihilated-end"],
     )
     def test_scan_composites_are_its_inner_iterations(
         self, monkeypatch, spec, r_min, r_max, points
@@ -364,6 +463,8 @@ class TestOneCompositePerStep:
         prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
         assert prof.roots
         assert len(calls) == sum(inner)
+        # one inner iteration per coarse radius, then one per polish point
+        assert len(inner) - points == sum(prof.polish_steps)
 
 
 class TestLambdaMachinery:
