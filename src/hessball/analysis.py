@@ -158,7 +158,7 @@ def lower_bound_check(
     k_i = spec.k[i - 1]
 
     inside = _window_slice(t)
-    fv = np.asarray(eval_nonlinearity(spec.f[i - 1], t, vals), dtype=float)
+    fv = eval_nonlinearity(spec.f[i - 1], t, vals)
     floor = eta * vals**m
     hypothesis_ok = bool(
         cone_check(v).in_cone and np.all(fv[inside] >= floor[inside] - 1e-12)
@@ -191,7 +191,7 @@ def upper_bound_check(
     t = grid_points(vals.size)
     k_i = spec.k[i - 1]
 
-    fv = np.asarray(eval_nonlinearity(spec.f[i - 1], t, vals), dtype=float)
+    fv = eval_nonlinearity(spec.f[i - 1], t, vals)
     cap = eps * vals**d
     hypothesis_ok = bool(np.all(fv <= cap + 1e-12))
     if not hypothesis_ok:

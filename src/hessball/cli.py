@@ -18,8 +18,8 @@ Each scenario maps one solvability question to a fixed recipe:
 
 Configuration is a single JSON file; all tolerances and ranges ride in it.
 Runs are deterministic for a fixed (config, seed): the report is written as
-sorted-key JSON lines with no timestamps.  Exit codes: 0 success, 2 bad
-config, 3 scenario hypothesis not met, 4 numerical failure.
+sorted-key JSON lines with no timestamps.  The records alone decide the
+exit code (_Run.exit_code); a bad config exits 2.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERICAL = 4
 
+DOWNSCALE_XI = 0.5  # xi of the uniqueness scenario's sublinearity check
+
 SCENARIOS = (
     "existence",
     "multiplicity",
@@ -102,22 +104,24 @@ class ScenarioConfig:
     points: int = 32
     r0: float | None = None
     R0: float | None = None
-    xi: float = 0.5
     lambdas: tuple[tuple[float, ...], ...] = ()
     solution_csv: str | None = None
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.M < 7:
             raise ConfigError("M must be at least 7")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.starts < 1:
             raise ConfigError("starts must be at least 1")
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ConfigError("need 0 < r_min < r_max, both finite")
+        if any(a is not None and not 0 < a < math.inf for a in (self.r0, self.R0)):
+            raise ConfigError("r0 and R0 must be positive and finite")
         if self.points < 8:
             raise ConfigError("need at least 8 scan points")
         if self.scenario == "multiplicity" and self.r0 is None and self.R0 is None:
@@ -126,32 +130,47 @@ class ScenarioConfig:
             raise ConfigError("verify scenario needs solution_csv")
 
 
+def _real(value) -> float:
+    """A finite JSON number; booleans, strings, inf and nan are errors."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral JSON number such as 3 or 3.0; 3.5 and true are errors."""
+    if not _real(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _build_spec(data: dict) -> SystemSpec:
     try:
-        N = int(data["N"])
-        k = tuple(int(x) for x in data["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+        N = _integer(data["N"])
+        k = tuple(_integer(x) for x in data["k"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid or missing N/k: {exc}") from exc
     if "gamma" in data and "terms" in data:
         raise ConfigError("give either gamma (power system) or terms, not both")
     try:
         if "gamma" in data:
-            return PowerSystemSpec(N, k, tuple(float(g) for g in data["gamma"]))
+            return PowerSystemSpec(N, k, tuple(_real(g) for g in data["gamma"]))
         if "terms" in data:
             forcings = tuple(
-                NonlinearitySpec(tuple(tuple(float(x) for x in term) for term in eq))
+                NonlinearitySpec(tuple(tuple(_real(x) for x in term) for term in eq))
                 for eq in data["terms"]
             )
             return SystemSpec(N, k, forcings)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid system data: {exc}") from exc
     raise ConfigError("config needs gamma or terms")
 
 
 _CASTERS = {  # optional keys and the type each is cast to
-    "M": int, "tol": float, "seed": int, "starts": int, "r_min": float,
-    "r_max": float, "points": int, "r0": float, "R0": float, "xi": float,
-    "solution_csv": str, "out_dir": str,
+    "M": _integer, "tol": _real, "seed": _integer, "starts": _integer,
+    "r_min": _real, "r_max": _real, "points": _integer, "r0": _real, "R0": _real,
+    "solution_csv": str,
 }
 _KEYS = {"scenario", "N", "k", "gamma", "terms", "lambda", *_CASTERS}
 
@@ -178,14 +197,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if key in data and data[key] is not None:
             try:
                 kwargs[key] = caster(data[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"invalid value for {key}: {exc}") from exc
     if "lambda" in data and data["lambda"] is not None:
         try:
             kwargs["lambdas"] = tuple(
-                tuple(float(x) for x in row) for row in data["lambda"]
+                tuple(_real(x) for x in row) for row in data["lambda"]
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid lambda table: {exc}") from exc
     try:
         return ScenarioConfig(scenario=str(data["scenario"]), spec=spec, **kwargs)
@@ -251,6 +270,13 @@ class _Run:
             verdict = "info" if passed is None else ("pass" if passed else "FAIL")
             print(f"{kind}: {verdict}")
 
+    def exit_code(self) -> int:
+        """3 if the hypothesis record failed, else 4 if any record failed, else 0."""
+        failed = {rec["kind"] for rec in self.records if rec["pass"] is False}
+        if "hypothesis" in failed:
+            return EXIT_HYPOTHESIS
+        return EXIT_NUMERICAL if failed else EXIT_OK
+
     def add_solution(self, bundle: SolutionBundle) -> None:
         self.solutions.append(bundle)
 
@@ -306,9 +332,8 @@ def _growth_record(run: _Run) -> str:
     return growth.condition
 
 
-def _unmet(run: _Run, reason: str) -> int:
+def _unmet(run: _Run, reason: str) -> None:
     run.record("hypothesis", {"reason": reason}, passed=False)
-    return EXIT_HYPOTHESIS
 
 
 def _verify_and_store(run: _Run, bundle: SolutionBundle, label: str) -> bool:
@@ -337,18 +362,17 @@ def _scan(run: _Run):
     return profile
 
 
-def _verify_scan(run: _Run, needed: int) -> int:
-    """Scan, verify every accepted root, and pass when at least needed verify."""
+def _verify_scan(run: _Run, needed: int) -> None:
+    """Scan, verify every accepted root, and count the verified ones."""
     profile = _scan(run)
     verified = 0
     for idx, bundle in enumerate(profile.solutions, start=1):
         if bundle is not None and _verify_and_store(run, bundle, str(idx)):
             verified += 1
     run.record("solutions_found", {"count": verified}, passed=verified >= needed)
-    return EXIT_OK if verified >= needed else EXIT_NUMERICAL
 
 
-def _scenario_existence(run: _Run) -> int:
+def _scenario_existence(run: _Run) -> None:
     cfg = run.config
     condition = _growth_record(run)
     if condition == "none":
@@ -359,18 +383,18 @@ def _scenario_existence(run: _Run) -> int:
         report = picard_solve(cfg.spec, init, tol=cfg.tol)
         run.record(
             "picard",
-            _fields(report, omit=("norm_history", "solution")),
+            _fields(report, omit=("solution",)),
             {"tol": cfg.tol},
             report.status is IterationStatus.CONVERGED,
         )
-        if report.solution is None:
-            return EXIT_NUMERICAL
-        return EXIT_OK if _verify_and_store(run, report.solution, "1") else EXIT_NUMERICAL
+        if report.solution is not None:
+            _verify_and_store(run, report.solution, "1")
+        return
 
-    return _verify_scan(run, 1)
+    _verify_scan(run, 1)
 
 
-def _scenario_multiplicity(run: _Run) -> int:
+def _scenario_multiplicity(run: _Run) -> None:
     cfg = run.config
     _growth_record(run)
     thresholds = multiplicity_thresholds(cfg.spec, r0=cfg.r0, R0=cfg.R0)
@@ -379,10 +403,10 @@ def _scenario_multiplicity(run: _Run) -> int:
     if not satisfied:
         return _unmet(run, "threshold condition not met")
 
-    return _verify_scan(run, 2)
+    _verify_scan(run, 2)
 
 
-def _scenario_uniqueness(run: _Run) -> int:
+def _scenario_uniqueness(run: _Run) -> None:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) >= 0:
@@ -395,7 +419,7 @@ def _scenario_uniqueness(run: _Run) -> int:
             run.record(
                 "picard", {"status": report.status}, {"tol": cfg.tol}, False
             )
-            return EXIT_NUMERICAL
+            return
         solutions.append(report.solution)
     limits = [bundle.v[0] for bundle in solutions]
     spread = max(_rel_sup_distance(a, b) for a in limits for b in limits)
@@ -413,35 +437,30 @@ def _scenario_uniqueness(run: _Run) -> int:
     if rescaled is not None:
         scale = sup_norm(rescaled.v[0])
         rescale_dist = _rel_sup_distance(rescaled.v[0], limits[0])
-    rescale_ok = (rescale_dist is not None and rescale_dist <= 1e-5
-                  and eig.shape_delta <= cfg.tol)
     run.record(
         "rescale_agreement",
         {"mu": eig.mu, "scale": scale, "rel_distance": rescale_dist,
          "shape_delta": eig.shape_delta},
         {"rel": 1e-5, "tol": cfg.tol},
-        rescale_ok,
+        rescale_dist is not None and rescale_dist <= 1e-5
+        and eig.shape_delta <= cfg.tol,
     )
 
     profile = _scan(run)
-    single = len(profile.sign_changes) == 1
-    run.record(
-        "bracket_count", {"count": len(profile.sign_changes)}, {"expected": 1}, single
-    )
+    count = len(profile.sign_changes)
+    run.record("bracket_count", {"count": count}, {"expected": 1}, count == 1)
 
-    sub = sublinearity_check(spec, limits[0], cfg.xi)
+    sub = sublinearity_check(spec, limits[0], DOWNSCALE_XI)
     run.record(
         "sublinearity",
         _fields(sub, omit=("hypothesis_ok",)),
         passed=sub.hypothesis_ok and sub.ratio_min > 0 and sub.gain > 0,
     )
 
-    ok = _verify_and_store(run, solutions[0], "1")
-    agreed = spread <= 1e-5 and rescale_ok and single
-    return EXIT_OK if (ok and agreed) else EXIT_NUMERICAL
+    _verify_and_store(run, solutions[0], "1")
 
 
-def _scenario_nonexistence(run: _Run) -> int:
+def _scenario_nonexistence(run: _Run) -> None:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
@@ -450,13 +469,12 @@ def _scenario_nonexistence(run: _Run) -> int:
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     bound = chain_contraction_bound(spec)
-    contraction_ok = eig.mu < 1.0 and eig.mu <= bound and eig.shape_delta <= cfg.tol
     run.record(
         "contraction",
         {"mu": eig.mu, "bound": bound, "lambda0": eig.lambda0,
          "shape_delta": eig.shape_delta},
         {"tol": cfg.tol},
-        contraction_ok,
+        eig.mu < 1.0 and eig.mu <= bound and eig.shape_delta <= cfg.tol,
     )
 
     collapsed = 0
@@ -467,15 +485,11 @@ def _scenario_nonexistence(run: _Run) -> int:
     run.record("collapse", {"collapsed": collapsed, "starts": 3}, passed=collapsed == 3)
 
     profile = _scan(run)
-    empty = len(profile.sign_changes) == 0
-    run.record(
-        "bracket_count", {"count": len(profile.sign_changes)}, {"expected": 0}, empty
-    )
-    ok = contraction_ok and collapsed == 3 and empty
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    count = len(profile.sign_changes)
+    run.record("bracket_count", {"count": count}, {"expected": 0}, count == 0)
 
 
-def _scenario_eigenvalue(run: _Run) -> int:
+def _scenario_eigenvalue(run: _Run) -> None:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
@@ -490,7 +504,6 @@ def _scenario_eigenvalue(run: _Run) -> int:
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     values.append(eig.lambda0)
     spread = (max(values) - min(values)) / min(values)
-    all_ok = spread <= 1e-6 and eig.shape_delta <= cfg.tol
     run.record(
         "eigenvalue",
         {
@@ -502,7 +515,7 @@ def _scenario_eigenvalue(run: _Run) -> int:
             "starts": cfg.starts + 1,
         },
         {"spread_rel": 1e-6, "tol": cfg.tol},
-        all_ok,
+        spread <= 1e-6 and eig.shape_delta <= cfg.tol,
     )
 
     for lam in cfg.lambdas:
@@ -510,17 +523,13 @@ def _scenario_eigenvalue(run: _Run) -> int:
             check = lambda_product_check(spec, lam, eig)
         except ValueError as exc:
             raise ConfigError(f"bad lambda row {lam}: {exc}") from exc
-        run.record(
-            "lambda_product",
-            {"lambda": lam, **_fields(check, omit=("matches",))},
-            passed=check.matches,
-        )
+        # whether a row matches is the answer, not a check: a finding
+        run.record("lambda_product", {"lambda": lam, **_fields(check)})
 
     run.add_solution(eig.solution)
-    return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
-def _scenario_bounds(run: _Run) -> int:
+def _scenario_bounds(run: _Run) -> None:
     cfg = run.config
     spec = cfg.spec
     N = spec.N
@@ -543,10 +552,8 @@ def _scenario_bounds(run: _Run) -> int:
     t = grid_points(cfg.M)
     window = _window_slice(t)
     growth = classify_growth(spec)
-    all_ok = True
     for i in range(1, spec.n + 1):
-        f = spec.f[i - 1]
-        fv = np.asarray(eval_nonlinearity(f, t, v.values), dtype=float)
+        fv = eval_nonlinearity(spec.f[i - 1], t, v.values)
 
         m = growth.alpha[i - 1]
         eta = float(np.min(fv[window] / v.values[window] ** m)) * (1.0 - 1e-12)
@@ -566,14 +573,9 @@ def _scenario_bounds(run: _Run) -> int:
             {"eps": eps, "d": d, **_fields(up, omit=("bound_holds",))},
             passed=bool(up) if up.hypothesis_ok else None,
         )
-        if low.hypothesis_ok and not low.bound_holds:
-            all_ok = False
-        if up.hypothesis_ok and not up.bound_holds:
-            all_ok = False
-    return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
-def _scenario_verify(run: _Run) -> int:
+def _scenario_verify(run: _Run) -> None:
     cfg = run.config
     try:
         data = np.loadtxt(cfg.solution_csv, delimiter=",", skiprows=1)
@@ -592,9 +594,8 @@ def _scenario_verify(run: _Run) -> int:
         bundle = SolutionBundle(v=profiles, spec=spec)
     except ValueError as exc:
         run.record("bundle_invariants", {"error": str(exc)}, passed=False)
-        return EXIT_NUMERICAL
-    ok = _verify_and_store(run, bundle, "1")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+        return
+    _verify_and_store(run, bundle, "1")
 
 
 _SCENARIO_RUNNERS = {
@@ -625,8 +626,7 @@ def run_scenario(
     writes its report, ending in an error record, and the exception
     propagates.
     """
-    target = Path(out_dir or config.out_dir or ".")
-    run = _Run(config, target, quiet)
+    run = _Run(config, Path(out_dir or "."), quiet)
     run.record(
         "run_config",
         {
@@ -638,7 +638,7 @@ def run_scenario(
         },
     )
     try:
-        code = _SCENARIO_RUNNERS[config.scenario](run)
+        _SCENARIO_RUNNERS[config.scenario](run)
     except ConfigError:
         raise  # invalid input, not a failed run: stderr names the fault
     except Exception as exc:
@@ -648,7 +648,7 @@ def run_scenario(
         run.flush()
         raise
     run.flush()
-    return code
+    return run.exit_code()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -660,15 +660,11 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="run a scenario from a JSON config")
     runp.add_argument("config", help="path to the JSON configuration")
     runp.add_argument("--out", default=None, help="output directory")
-    runp.add_argument("--grid", type=int, default=None, help="override grid size M")
     runp.add_argument("--quiet", action="store_true", help="suppress progress lines")
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.grid is not None:
-            config = dataclasses.replace(config, M=args.grid)
-        return run_scenario(config, out_dir=args.out, quiet=args.quiet)
+        return run_scenario(load_config(args.config), out_dir=args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -79,7 +79,6 @@ class IterationStatus(str, Enum):
 class IterationReport:
     status: IterationStatus
     iterations: int
-    norm_history: tuple[float, ...]
     final_delta: float
     solution: SolutionBundle | None
 
@@ -121,10 +120,9 @@ def picard_solve(
 
     init_norm = sup_norm(init)
     v = np.asarray(init.values, dtype=float)
-    history: list[float] = []
     delta = math.inf
     status = IterationStatus.MAX_ITER
-    for _ in range(PICARD_MAX_ITER):
+    for iterations in range(1, PICARD_MAX_ITER + 1):
         try:
             chain = apply_composite(spec, v, return_chain=True)
         except NonFiniteError:
@@ -133,7 +131,6 @@ def picard_solve(
             delta = sup_norm(chain[0] - v)
             v = chain[0]
             norm = sup_norm(v)
-        history.append(norm)
         if norm < COLLAPSE_RELATIVE * init_norm:
             status = IterationStatus.COLLAPSED_TO_ZERO
         elif norm > DIVERGENCE_NORM:
@@ -147,8 +144,7 @@ def picard_solve(
     converged = status is IterationStatus.CONVERGED
     return IterationReport(
         status=status,
-        iterations=len(history),
-        norm_history=tuple(history),
+        iterations=iterations,
         final_delta=delta,
         solution=SolutionBundle(v=chain, spec=spec) if converged else None,
     )

@@ -93,7 +93,7 @@ def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarr
     for i in range(spec.n):
         v_next = profiles[(i + 1) % spec.n]
         sk = radial_hessian(GridFunction(-profiles[i].values), spec.k[i], spec.N).values
-        fv = np.asarray(eval_nonlinearity(spec.f[i], t, v_next.values), dtype=float)
+        fv = eval_nonlinearity(spec.f[i], t, v_next.values)
         out[i] = float(np.max(np.abs(sk[2 : M - 2] - fv[2 : M - 2])))
     return out
 
@@ -120,18 +120,15 @@ class VerificationReport:
     convex_ok: bool
 
 
-def verify_solution(
-    bundle: SolutionBundle, tol: float | None = None
-) -> VerificationReport:
+def verify_solution(bundle: SolutionBundle) -> VerificationReport:
     """Recompute every diagnostic of a bundle from scratch.
 
-    tol bounds the interior residual and the boundary errors; it defaults
-    to the calibrated grid law max(1e-6, 4000/M^2).
+    The interior residual and the boundary errors are bounded by the
+    calibrated grid law residual_tolerance(M) = max(1e-6, 4000/M^2).
     """
     spec = bundle.spec
     M = bundle.grid_size
-    if tol is None:
-        tol = residual_tolerance(M)
+    tol = residual_tolerance(M)
     h = 1.0 / (M - 1)
 
     residuals = tuple(float(x) for x in ode_residual(spec, bundle.v))

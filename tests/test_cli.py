@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -23,17 +24,54 @@ from hessball import (
     sublinearity_check,
     unit_ratio_sign,
 )
-from hessball.cli import (
-    CSV_BLOCK_ROWS,
-    ConfigError,
-    _write_csv,
-    load_config,
-    main,
-    run_scenario,
-)
+from hessball.cli import CSV_BLOCK_ROWS, ConfigError, _write_csv, load_config, main
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
 SCAN_SYSTEM = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [2, 2]}
+
+
+def read_records(out):
+    return [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+
+
+def implied_exit_code(records):
+    """README's rule: 3 if the hypothesis record failed, else 4 if any
+    record failed, else 0."""
+    failed = {r["kind"] for r in records if r["pass"] is False}
+    if "hypothesis" in failed:
+        return 3
+    return 4 if failed else 0
+
+
+@pytest.fixture(autouse=True)
+def exit_code_follows_report(monkeypatch):
+    """Every run in this module exits with the code its report.jsonl implies.
+
+    Mismatches are collected and asserted at teardown: main turns any
+    exception raised inside a run, an assertion included, into exit 4.
+    """
+    run_scenario = hessball.cli.run_scenario
+    mismatches = []
+
+    def compare(out, code):
+        if code != implied_exit_code(read_records(out)):
+            mismatches.append((str(out), code))
+
+    def checked(config, out_dir=None, quiet=False):
+        out = Path(out_dir or ".")
+        try:
+            code = run_scenario(config, out_dir=out_dir, quiet=quiet)
+        except ConfigError:
+            raise  # bad input: no report, and main exits 2
+        except Exception:
+            compare(out, 4)  # what main exits with when the run raises
+            raise
+        compare(out, code)
+        return code
+
+    monkeypatch.setattr(hessball.cli, "run_scenario", checked)
+    yield
+    assert not mismatches, "exit code differs from the report's verdict"
 
 
 def write_config(tmp_path, name, data):
@@ -140,6 +178,29 @@ class TestLoadConfig:
             {**SCAN_SYSTEM, "r_max": 1e400},  # parses to inf
             {**SCAN_SYSTEM, "r_min": math.nan},
             {**SCAN_SYSTEM, "points": 7},
+            {**SCAN_SYSTEM, "k": [1.5, 1]},
+            {**SCAN_SYSTEM, "k": [True, 1]},
+            {**SCAN_SYSTEM, "M": 100.7},
+            {**SCAN_SYSTEM, "starts": True},
+            {**SCAN_SYSTEM, "points": 16.5},
+            {**SCAN_SYSTEM, "starts": 2.5},
+            {**SCAN_SYSTEM, "seed": 1.5},
+            {**SCAN_SYSTEM, "seed": -1},
+            {**SCAN_SYSTEM, "M": "301"},
+            {**SCAN_SYSTEM, "tol": 1e400},  # parses to inf
+            {**SCAN_SYSTEM, "tol": math.nan},
+            {**SCAN_SYSTEM, "seed": False},
+            {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS,
+             "r0": -1.0},
+            {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS,
+             "R0": 1e400},
+            {**SCAN_SYSTEM, "gamma": [True, 2]},
+            {**SCAN_SYSTEM, "gamma": ["2", 2]},
+            {**SCAN_SYSTEM, "M": 10**400},
+            {"scenario": "existence", "N": 2, "k": [1, 1],
+             "terms": [[[1, 0, 0.5]], [[1, 0, "0.5"]]]},
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "lambda": [[True, 1.0]]},
         ],
         ids=[
             "no-scenario",
@@ -160,11 +221,35 @@ class TestLoadConfig:
             "infinite-radius",
             "nan-radius",
             "few-points",
+            "fractional-k",
+            "boolean-k",
+            "fractional-grid",
+            "boolean-starts",
+            "fractional-points",
+            "fractional-starts",
+            "fractional-seed",
+            "negative-seed",
+            "string-grid",
+            "infinite-tol",
+            "nan-tol",
+            "boolean-seed",
+            "negative-r0",
+            "infinite-R0",
+            "boolean-gamma",
+            "string-gamma",
+            "huge-grid",
+            "string-term",
+            "boolean-lambda",
         ],
     )
     def test_rejected_configs(self, tmp_path, broken):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "bad.json", broken))
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = load_config(uniqueness_config(tmp_path, N=2.0, k=[1.0, 1], M=301.0))
+        assert cfg.spec == PowerSystemSpec(2, (1, 1), (0.5, 0.5))
+        assert cfg.M == 301 and isinstance(cfg.M, int)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -464,6 +549,63 @@ class TestExitCodes:
         )
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
+    def test_unmatched_lambda_row_is_a_finding(self, tmp_path):
+        # whether a multiplier row admits a fixed point is the answer sought,
+        # so a row that does not match leaves the run's verdict alone
+        path = write_config(
+            tmp_path,
+            "e.json",
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "M": 301, "starts": 2, "lambda": [[1.0, 1.0]]},
+        )
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        row = next(r for r in read_records(out) if r["kind"] == "lambda_product")
+        assert row["pass"] is None
+        assert row["values"]["matches"] is False
+        assert row["values"]["lambda"] == [1.0, 1.0]
+
+    def test_failed_sublinearity_fails_uniqueness(self, tmp_path, monkeypatch):
+        check = hessball.cli.sublinearity_check
+        monkeypatch.setattr(
+            hessball.cli,
+            "sublinearity_check",
+            lambda *args: dataclasses.replace(check(*args), gain=0.0),
+        )
+        out = tmp_path / "out"
+        assert main(["run", uniqueness_config(tmp_path), "--out", str(out), "--quiet"]) == 4
+        failed = [r["kind"] for r in read_records(out) if r["pass"] is False]
+        assert failed == ["sublinearity"]
+
+    def test_unverified_extra_root_fails_existence(self, tmp_path, monkeypatch):
+        # the criterion-9 (C3) scan finds two roots; one verified root is
+        # enough for solutions_found, but a failed verification still fails
+        verify = hessball.cli.verify_solution
+        calls = []
+
+        def second_fails(bundle):
+            calls.append(bundle)
+            report = verify(bundle)
+            return dataclasses.replace(report, passed=len(calls) != 2)
+
+        monkeypatch.setattr(hessball.cli, "verify_solution", second_fails)
+        path = write_config(
+            tmp_path,
+            "x.json",
+            {"scenario": "existence", "N": 2, "k": [1, 1], "terms": MULT_TERMS,
+             "M": 301, "points": 24, "r_min": 1e-4, "r_max": 1e4},
+        )
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 4
+        records = {r["kind"]: r for r in read_records(out)}
+        assert records["growth_classification"]["values"]["condition"] == "C3"
+        assert records["verification_1"]["pass"] is True
+        assert records["verification_2"]["pass"] is False
+        assert records["solutions_found"]["pass"] is True
+        assert records["solutions_found"]["values"]["count"] == 1
+        assert (out / "solution_1.csv").exists()
+        assert not (out / "solution_2.csv").exists()
+
     def test_eigenvalue_needs_critical_ratio(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -495,11 +637,6 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "config error" in capsys.readouterr().err
-
-    def test_grid_override_is_validated(self, tmp_path):
-        path = uniqueness_config(tmp_path)
-        code = main(["run", path, "--out", str(tmp_path / "out"), "--grid", "5"])
-        assert code == 2
 
     def test_no_arguments_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -607,7 +744,7 @@ class TestReportOutput:
 
     def test_run_scenario_api(self, tmp_path):
         cfg = load_config(uniqueness_config(tmp_path))
-        code = run_scenario(cfg, out_dir=tmp_path / "api_out", quiet=True)
+        code = hessball.cli.run_scenario(cfg, out_dir=tmp_path / "api_out", quiet=True)
         assert code == 0
         lines = (tmp_path / "api_out" / "report.jsonl").read_text().splitlines()
         for line in lines:

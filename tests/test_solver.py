@@ -68,8 +68,9 @@ class TestPicardSolve:
         # while the update (~8e-10) still exceeds tol (1 + norm)
         rep = picard_solve(CRITICAL, dome(301), tol=1e-12)
         assert rep.status is IterationStatus.COLLAPSED_TO_ZERO
+        assert rep.iterations == 7
+        assert 1e-12 < rep.final_delta < 1e-9
         assert rep.solution is None
-        assert rep.norm_history[-1] < 1e-9
 
     def test_superlinear_divergence_from_large_start(self):
         spec = PowerSystemSpec(2, (1, 1), (3.0, 3.0))
@@ -85,7 +86,6 @@ class TestPicardSolve:
         rep = picard_solve(spec, big)
         assert rep.status is IterationStatus.DIVERGED
         assert rep.iterations == 1
-        assert rep.norm_history == (math.inf,)
         assert rep.final_delta == math.inf
         assert rep.solution is None
 

@@ -19,6 +19,7 @@ from hessball import (
     sup_norm,
     verify_solution,
 )
+from hessball import verify
 from richardson import richardson_order
 
 
@@ -128,12 +129,19 @@ class TestVerifySolution:
         # slope at the origin shows up as the second boundary entry
         assert report.boundary_errors[1] == pytest.approx(1.0, abs=1e-10)
 
-    def test_tol_override(self):
+    def test_tol_override(self, monkeypatch):
+        # the gate is the tolerance law at the bundle's own grid size
         bundle = make_bundle(PowerSystemSpec(2, (1, 1), (0.5, 0.5)), dome(201))
-        loose = verify_solution(bundle, tol=10.0)
-        tight = verify_solution(bundle, tol=1e-20)
-        assert loose.residual_tol == 10.0
-        assert not tight.passed
+
+        def law(tol):
+            return lambda M: tol if M == 201 else math.nan
+
+        monkeypatch.setattr(verify, "residual_tolerance", law(10.0))
+        loose = verify_solution(bundle)
+        monkeypatch.setattr(verify, "residual_tolerance", law(1e-20))
+        tight = verify_solution(bundle)
+        assert loose.residual_tol == 10.0 and loose.passed
+        assert tight.residual_tol == 1e-20 and not tight.passed
 
     @pytest.mark.parametrize(
         "spec",
