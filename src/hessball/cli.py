@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import traceback
 from pathlib import Path
@@ -108,8 +109,28 @@ class ScenarioConfig:
     solution_csv: str | None = None
 
     def __post_init__(self) -> None:
+        """Cast the number fields and the lambda table, then check ranges.
+
+        Integral fields accept integral floats such as 301.0 and store ints;
+        every number must be finite, and booleans are not numbers.
+        load_config passes its numbers here uncast, so a config file and a
+        Python caller meet the same checks and the same ConfigError.
+        """
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name, cast in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in ("r0", "R0"):
+                continue
+            try:
+                object.__setattr__(self, name, cast(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"invalid value for {name}: {exc}") from exc
+        try:
+            lambdas = tuple(tuple(_real(x) for x in row) for row in self.lambdas)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid lambda table: {exc}") from exc
+        object.__setattr__(self, "lambdas", lambdas)
         if self.M < 7:
             raise ConfigError("M must be at least 7")
         if not 0 < self.tol < math.inf:
@@ -131,15 +152,15 @@ class ScenarioConfig:
 
 
 def _real(value) -> float:
-    """A finite JSON number; booleans, strings, inf and nan are errors."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    """A finite real number; booleans, strings, inf and nan are errors."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
 
 def _integer(value) -> int:
-    """An integral JSON number such as 3 or 3.0; 3.5 and true are errors."""
+    """An integral number such as 3 or 3.0; 3.5 and true are errors."""
     if not _real(value).is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
@@ -167,12 +188,12 @@ def _build_spec(data: dict) -> SystemSpec:
     raise ConfigError("config needs gamma or terms")
 
 
-_CASTERS = {  # optional keys and the type each is cast to
+_NUMBER_FIELDS = {  # ScenarioConfig's number fields and the cast each gets
     "M": _integer, "tol": _real, "seed": _integer, "starts": _integer,
     "r_min": _real, "r_max": _real, "points": _integer, "r0": _real, "R0": _real,
-    "solution_csv": str,
 }
-_KEYS = {"scenario", "N", "k", "gamma", "terms", "lambda", *_CASTERS}
+_KEYS = {"scenario", "N", "k", "gamma", "terms", "lambda", "solution_csv",
+         *_NUMBER_FIELDS}
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -192,26 +213,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError("config needs a scenario")
 
     spec = _build_spec(data)
-    kwargs = {}
-    for key, caster in _CASTERS.items():
-        if key in data and data[key] is not None:
-            try:
-                kwargs[key] = caster(data[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"invalid value for {key}: {exc}") from exc
-    if "lambda" in data and data["lambda"] is not None:
-        try:
-            kwargs["lambdas"] = tuple(
-                tuple(_real(x) for x in row) for row in data["lambda"]
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid lambda table: {exc}") from exc
-    try:
-        return ScenarioConfig(scenario=str(data["scenario"]), spec=spec, **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    # ScenarioConfig casts and checks the numbers itself
+    kwargs = {key: data[key] for key in _NUMBER_FIELDS if data.get(key) is not None}
+    if data.get("solution_csv") is not None:
+        kwargs["solution_csv"] = str(data["solution_csv"])
+    if data.get("lambda") is not None:
+        kwargs["lambdas"] = data["lambda"]
+    return ScenarioConfig(scenario=str(data["scenario"]), spec=spec, **kwargs)
 
 
 def _jsonable(obj):

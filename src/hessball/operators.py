@@ -49,11 +49,13 @@ NEGATIVE_ROUNDOFF_FLOOR = -1e-14
 class QuadratureTable:
     """Quadrature plan on one grid: weighted cumulative and tail trapezoid sums.
 
-    Powers of t and the panel weights of each weight power are computed on
-    first use and kept on the instance, so every operator of one composite
-    shares them.  Plans are built per composite, never cached across calls:
-    with a one-entry plan cache keyed on M, the fine_grid benchmark's peak
-    RSS rose from 48.4 to 57.8 MB, far past its 5% bound.
+    The panel weights of each weight power and the powers t**(N-k) the
+    operators divide by are computed on first use and kept on the instance,
+    so every operator that uses the plan shares them.  Each solver call
+    builds one plan on entry, passes it to every composite it makes and
+    drops it on return; nothing caches a plan beyond that call: with a
+    one-entry plan cache keyed on M, the fine_grid benchmark's peak RSS
+    rose from 48.4 to 57.8 MB, far past its 5% bound.
     """
 
     __slots__ = ("M", "h", "t", "_powers", "_weights")
@@ -85,8 +87,10 @@ class QuadratureTable:
         """Weights of the left and right panel values for the weight s**power."""
         weights = self._weights.get(power)
         if weights is None:
-            p1 = self.power(power + 1)
-            p2 = self.power(power + 2)
+            # not kept: a plan lives through a whole solver call, and holding
+            # these two arrays too raised fine_grid peak RSS by about 0.3 MB
+            p1 = self.t ** (power + 1)
+            p2 = self.t ** (power + 2)
             s0 = self.t[:-1]
             s1 = self.t[1:]
             dp = (p1[1:] - p1[:-1]) / (power + 1)
@@ -160,7 +164,11 @@ def apply_operator(spec: SystemSpec, i: int, v: GridFunction | np.ndarray) -> Gr
 
 
 def apply_composite(
-    spec: SystemSpec, v1: GridFunction | np.ndarray, return_chain: bool = False
+    spec: SystemSpec,
+    v1: GridFunction | np.ndarray,
+    return_chain: bool = False,
+    *,
+    plan: QuadratureTable | None = None,
 ):
     """Cyclic composition: equation n's operator first, then n-1, ..., then 1.
 
@@ -172,9 +180,14 @@ def apply_composite(
     be a GridFunction or a raw array; it is checked once, every operator
     output is checked for finiteness (NonFiniteError, a ValueError), and the
     operators share one quadrature plan and pass raw arrays between them.
+    That plan is the given one, which a solver reuses across its composites
+    (a plan on another grid size is a ValueError), or else a fresh one.
     """
     w = _checked_input(v1)
-    plan = QuadratureTable(w.size)
+    if plan is None:
+        plan = QuadratureTable(w.size)
+    elif plan.M != w.size:
+        raise ValueError(f"quadrature plan has M = {plan.M}, input has {w.size} samples")
     chain: list[np.ndarray] = []
     for i in range(spec.n, 0, -1):
         w = _grid_samples(_apply(spec, i, w, plan))

@@ -39,7 +39,7 @@ from .core import (
     sup_norm,
     unit_ratio_sign,
 )
-from .operators import apply_composite
+from .operators import QuadratureTable, apply_composite
 
 __all__ = [
     "EigenResult",
@@ -112,6 +112,7 @@ def picard_solve(
     samples) reads as an infinite norm and delta, so it also ends in
     DIVERGED; numpy's overflow warnings are off for the call.  The bundle
     is the last composite's chain, so its coupling defect is final_delta.
+    Every step shares one quadrature plan, dropped on return.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -120,11 +121,12 @@ def picard_solve(
 
     init_norm = sup_norm(init)
     v = np.asarray(init.values, dtype=float)
+    plan = QuadratureTable(v.size)
     delta = math.inf
     status = IterationStatus.MAX_ITER
     for iterations in range(1, PICARD_MAX_ITER + 1):
         try:
-            chain = apply_composite(spec, v, return_chain=True)
+            chain = apply_composite(spec, v, return_chain=True, plan=plan)
         except NonFiniteError:
             delta = norm = math.inf
         else:
@@ -172,6 +174,7 @@ def _shape_iteration(
     spec: SystemSpec,
     r: float,
     shape: np.ndarray,
+    plan: QuadratureTable,
     tol: float = SCAN_INNER_TOL,
     max_iter: int = SCAN_MAX_INNER,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, int]:
@@ -181,14 +184,14 @@ def _shape_iteration(
     its input, chain the chain of A(r shape), so G = ||A(r shape)|| is
     sup_norm(chain[0]), and delta its shape change.  An annihilated
     iterate (A(r shape) = 0) stops with delta = inf, so it never counts as
-    converged.
+    converged.  Every composite uses the caller's quadrature plan.
     """
     new_shape = shape
     for it in range(1, max_iter + 1):
         shape = new_shape
         # the last chain stays alive across this composite: dropping it first
         # tripled the page faults, ~35% slower at M = 64001 on a Xeon VM
-        chain = apply_composite(spec, r * shape, return_chain=True)
+        chain = apply_composite(spec, r * shape, return_chain=True, plan=plan)
         norm = sup_norm(chain[0])
         if norm == 0:
             delta = math.inf
@@ -209,12 +212,14 @@ def normalized_power_iteration(
 
     Normalization strips the scaling degree, so the iteration converges for
     any homogeneity; the returned mu is meaningful as an eigenvalue
-    reciprocal only in the degree-1 case.
+    reciprocal only in the degree-1 case.  Every step shares one quadrature
+    plan, dropped on return.
     """
     if not cone_check(init).in_cone or sup_norm(init) == 0:
         raise ValueError("initial profile must be a nonzero cone element")
+    shape = init.values / sup_norm(init)
     shape, chain, delta, iterations = _shape_iteration(
-        spec, 1.0, init.values / sup_norm(init), tol, POWER_MAX_ITER
+        spec, 1.0, shape, QuadratureTable(shape.size), tol, POWER_MAX_ITER
     )
     mu = sup_norm(chain[0])
     if mu == 0:
@@ -279,10 +284,10 @@ def _default_shape(M: int) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _scan_step(spec: SystemSpec, r: float, shape: np.ndarray):
+def _scan_step(spec: SystemSpec, r: float, shape: np.ndarray, plan: QuadratureTable):
     """_shape_iteration at r as (shape, chain, delta, G); overflow: chain None, G inf."""
     try:
-        shape, chain, delta, _ = _shape_iteration(spec, r, shape)
+        shape, chain, delta, _ = _shape_iteration(spec, r, shape, plan)
     except NonFiniteError:
         return shape, None, math.inf, math.inf
     return shape, chain, delta, sup_norm(chain[0])
@@ -312,7 +317,8 @@ def norm_profile_scan(
     An overflowing composite reads as G = inf (numpy's overflow warnings are
     off for the call).  Deliberately not picard_solve: a root can be
     repelling, and its profile can sit outside the cone (steeply decreasing
-    forcing bends the tail convex), so no march and no cone gate.
+    forcing bends the tail convex), so no march and no cone gate.  The
+    coarse pass and every polish share one quadrature plan.
     """
     if not 0 < r_min < r_max < math.inf:
         raise ValueError("need 0 < r_min < r_max, both finite")
@@ -324,8 +330,9 @@ def norm_profile_scan(
     converged = np.empty(points, dtype=bool)
     shapes: list[np.ndarray] = []
     shape = _default_shape(grid_size)
+    plan = QuadratureTable(shape.size)
     for j, r in enumerate(radii):
-        shape, _, delta, values[j] = _scan_step(spec, float(r), shape)
+        shape, _, delta, values[j] = _scan_step(spec, float(r), shape, plan)
         converged[j] = delta <= SCAN_INNER_TOL
         shapes.append(shape)
 
@@ -353,7 +360,7 @@ def norm_profile_scan(
             if step and not x[0] < point < x[1]:
                 break
             r = math.exp(point)
-            shape, chain, _, G = _scan_step(spec, r, shape)
+            shape, chain, _, G = _scan_step(spec, r, shape, plan)
             step += 1
             defect = math.inf if chain is None else sup_norm(chain[0] - r * shape)
             if defect <= SCAN_INNER_TOL * r:

@@ -24,7 +24,15 @@ from hessball import (
     sublinearity_check,
     unit_ratio_sign,
 )
-from hessball.cli import CSV_BLOCK_ROWS, ConfigError, _write_csv, load_config, main
+from hessball.cli import (
+    CSV_BLOCK_ROWS,
+    ConfigError,
+    ScenarioConfig,
+    _write_csv,
+    load_config,
+    main,
+    run_scenario,
+)
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
 SCAN_SYSTEM = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [2, 2]}
@@ -263,6 +271,52 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.json"))
+
+
+class TestScenarioConfigApi:
+    """A config built in Python meets the checks a config file meets."""
+
+    SPEC = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("M", 301.5),
+            ("seed", 1.5),
+            ("tol", math.nan),
+            ("r0", math.inf),
+            ("starts", True),
+            ("points", "16"),
+            ("r_max", None),
+            ("M", 10**400),
+            ("lambdas", ((math.nan, 1.0),)),
+            ("lambdas", (1.0, 2.0)),
+        ],
+        ids=[
+            "fractional-grid",
+            "fractional-seed",
+            "nan-tol",
+            "infinite-r0",
+            "boolean-starts",
+            "string-points",
+            "missing-r_max",
+            "huge-grid",
+            "nan-lambda",
+            "flat-lambda",
+        ],
+    )
+    def test_rejected_before_any_numerics(self, tmp_path, monkeypatch, field, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="invalid"):
+            run_scenario(ScenarioConfig("existence", self.SPEC, **{field: value}))
+        assert list(tmp_path.iterdir()) == []  # no report was started
+
+    def test_integral_numbers_become_ints(self, tmp_path):
+        cfg = ScenarioConfig(
+            "uniqueness", self.SPEC, M=301.0, starts=np.int64(3), points=16, seed=4
+        )
+        assert isinstance(cfg.M, int) and isinstance(cfg.starts, int)
+        assert cfg == load_config(uniqueness_config(tmp_path))
 
 
 class TestExitCodes:

@@ -193,6 +193,25 @@ class TestApplyComposite:
             w1.values, c**rho * w2.values, rtol=1e-12, atol=1e-14
         )
 
+    def test_shared_plan_gives_the_fresh_plan_chain(self):
+        spec = PowerSystemSpec(3, (1, 2, 3), (0.5, 1.0, 2.0))
+        plan = QuadratureTable(201)
+        for c in (1.0, 2.5, 0.1):  # later calls reuse the plan's panel weights
+            v = GridFunction(c * dome(201).values)
+            shared = apply_composite(spec, v, return_chain=True, plan=plan)
+            fresh = apply_composite(spec, v, return_chain=True)
+            for got, want in zip(shared, fresh):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [2, -2])
+    def test_plan_of_another_size_rejected(self, offset):
+        spec = power_pair(2, 1)
+        M = 101
+        v = dome(M)
+        for chain in (False, True):
+            with pytest.raises(ValueError, match="quadrature plan has M"):
+                apply_composite(spec, v, chain, plan=QuadratureTable(M + offset))
+
 
 def reference_forcing(f, t, v):
     """The forcing as first written: zeros, plus every term with its t**p."""

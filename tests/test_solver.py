@@ -12,6 +12,7 @@ from hessball import (
     IterationStatus,
     NonlinearitySpec,
     PowerSystemSpec,
+    QuadratureTable,
     SystemSpec,
     apply_composite,
     apply_operator,
@@ -30,7 +31,7 @@ from hessball import (
     sup_norm,
     verify_solution,
 )
-from hessball import solver
+from hessball import operators, solver
 from hessball.core import _values
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
@@ -263,9 +264,9 @@ class TestNormProfileScan:
         seen = []
         apply = solver.apply_composite
 
-        def hashing(spec, v1, return_chain=False):
+        def hashing(spec, v1, return_chain=False, **kwargs):
             seen.append(hashlib.sha256(_values(v1).tobytes()).hexdigest())
-            return apply(spec, v1, return_chain=return_chain)
+            return apply(spec, v1, return_chain=return_chain, **kwargs)
 
         monkeypatch.setattr(solver, "apply_composite", hashing)
         prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
@@ -315,8 +316,9 @@ def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
     values = np.empty(points)
     shapes = []
     shape = solver._default_shape(grid_size)
+    plan = QuadratureTable(grid_size)
     for j, r in enumerate(radii):
-        shape, _, _, values[j] = solver._scan_step(spec, float(r), shape)
+        shape, _, _, values[j] = solver._scan_step(spec, float(r), shape, plan)
         shapes.append(shape)
 
     negative = np.signbit(values - radii)
@@ -327,7 +329,7 @@ def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
         shape = shapes[j]
         mid = 0.5 * (lo + hi)
         while True:
-            shape, chain, _, G = solver._scan_step(spec, mid, shape)
+            shape, chain, _, G = solver._scan_step(spec, mid, shape, plan)
             defect = math.inf if chain is None else sup_norm(chain[0] - mid * shape)
             if defect <= solver.SCAN_INNER_TOL * mid:
                 break
@@ -404,8 +406,8 @@ def record_composites(monkeypatch):
     calls = []
     apply = solver.apply_composite
 
-    def recording(spec, v1, return_chain=False):
-        out = apply(spec, v1, return_chain=return_chain)
+    def recording(spec, v1, return_chain=False, **kwargs):
+        out = apply(spec, v1, return_chain=return_chain, **kwargs)
         calls.append((np.array(_values(v1)), out))
         return out
 
@@ -465,6 +467,74 @@ class TestOneCompositePerStep:
         assert len(calls) == sum(inner)
         # one inner iteration per coarse radius, then one per polish point
         assert len(inner) - points == sum(prof.polish_steps)
+
+
+@pytest.fixture
+def built_plans(monkeypatch):
+    """The grid size of every quadrature plan that solver or operator code builds."""
+    sizes = []
+
+    class CountingTable(QuadratureTable):
+        __slots__ = ()
+
+        def __init__(self, M):
+            super().__init__(M)
+            sizes.append(M)
+
+    monkeypatch.setattr(solver, "QuadratureTable", CountingTable)
+    # a composite that builds its own plan instead of the solver's counts too
+    monkeypatch.setattr(operators, "QuadratureTable", CountingTable)
+    return sizes
+
+
+def assert_fresh_plan_chains(spec, calls, bundles):
+    """Every recorded chain, and so every returned bundle, as a fresh plan gives it."""
+    inputs = {}
+    for v1, chain in calls:
+        fresh = apply_composite(spec, v1, return_chain=True)
+        for got, want in zip(chain, fresh):
+            np.testing.assert_array_equal(got, want)
+        inputs[chain[0].tobytes()] = v1
+    for bundle in bundles:
+        v1 = inputs[bundle.v[0].values.tobytes()]
+        fresh = apply_composite(spec, v1, return_chain=True)
+        for got, want in zip(bundle.v, fresh):
+            np.testing.assert_array_equal(got.values, want)
+
+
+class TestOnePlanPerSolverCall:
+    """Each solver call builds one quadrature plan and shares it across its composites."""
+
+    def test_picard(self, monkeypatch, built_plans):
+        calls = record_composites(monkeypatch)
+        rep = picard_solve(SUBLINEAR, dome(301))
+        assert rep.status is IterationStatus.CONVERGED and rep.iterations > 1
+        assert built_plans == [301]
+        assert_fresh_plan_chains(SUBLINEAR, calls, [rep.solution])
+
+    def test_power_iteration(self, monkeypatch, built_plans):
+        calls = record_composites(monkeypatch)
+        eig = normalized_power_iteration(LAPLACE_3D, dome(401), tol=1e-12)
+        assert eig.iterations > 1
+        assert built_plans == [401]
+        assert_fresh_plan_chains(LAPLACE_3D, calls, [eig.solution])
+
+    @pytest.mark.parametrize("name", ["criterion9", "gamma22", "overflowing-end"])
+    def test_scan_with_polished_brackets(self, monkeypatch, built_plans, name):
+        spec, r_min, r_max, points = POLISH_SCANS[name]
+        calls = record_composites(monkeypatch)
+        prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
+        assert prof.roots and min(prof.polish_steps) >= 1
+        assert built_plans == [301]
+        accepted = [s for s in prof.solutions if s is not None]
+        assert accepted
+        assert_fresh_plan_chains(spec, calls, accepted)
+
+    def test_each_call_builds_its_own(self, built_plans):
+        picard_solve(SUBLINEAR, dome(101))
+        picard_solve(SUBLINEAR, dome(201))
+        normalized_power_iteration(LAPLACE_3D, dome(101))
+        assert built_plans == [101, 201, 101]
 
 
 class TestLambdaMachinery:
