@@ -66,7 +66,7 @@ from .solver import (
     picard_solve,
     rescale_to_solution,
 )
-from .verify import residual_tolerance, verify_solution
+from .verify import MIN_GRID_POINTS, residual_tolerance, verify_solution
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "main", "run_scenario"]
 
@@ -118,6 +118,10 @@ class ScenarioConfig:
         """
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        if not isinstance(self.spec, SystemSpec):
+            raise ConfigError(f"invalid spec: {self.spec!r} is not a SystemSpec")
+        if not isinstance(self.solution_csv, (str, type(None))):
+            raise ConfigError(f"invalid solution_csv: {self.solution_csv!r}")
         for name, cast in _NUMBER_FIELDS.items():
             value = getattr(self, name)
             if value is None and name in ("r0", "R0"):
@@ -131,8 +135,8 @@ class ScenarioConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid lambda table: {exc}") from exc
         object.__setattr__(self, "lambdas", lambdas)
-        if self.M < 7:
-            raise ConfigError("M must be at least 7")
+        if self.M < MIN_GRID_POINTS:
+            raise ConfigError(f"M must be at least {MIN_GRID_POINTS}")
         if not 0 < self.tol < math.inf:
             raise ConfigError("tol must be positive and finite")
         if self.seed < 0:
@@ -260,15 +264,17 @@ class _Run:
         self.config = config
         self.out_dir = out_dir
         self.quiet = quiet
+        self.grid = config.M  # the grid judged, stamped on every record by flush
         self.records: list[dict] = []
         self.solutions: list[SolutionBundle] = []
+        self.record("run_config", {"scenario": config.scenario, "seed": config.seed,
+                                   "iteration_tolerance": config.tol})
 
     def record(self, kind: str, values: dict, tolerances: dict | None = None,
                passed: bool | None = None) -> None:
         rec = {
             "kind": kind,
             "scenario": self.config.scenario,
-            "M": self.config.M,
             "values": _jsonable(values),
             "tolerances": _jsonable(tolerances or {}),
             "pass": passed,
@@ -285,15 +291,14 @@ class _Run:
             return EXIT_HYPOTHESIS
         return EXIT_NUMERICAL if failed else EXIT_OK
 
-    def add_solution(self, bundle: SolutionBundle) -> None:
-        self.solutions.append(bundle)
-
     def flush(self) -> None:
+        grid = {"grid": self.grid, "residual_tolerance": residual_tolerance(self.grid)}
+        self.records[0]["values"].update(grid)  # the run_config record
         self.out_dir.mkdir(parents=True, exist_ok=True)
         report = self.out_dir / "report.jsonl"
         with report.open("w") as fh:
             for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.write(json.dumps({**rec, "M": self.grid}, sort_keys=True) + "\n")
         for idx, bundle in enumerate(self.solutions, start=1):
             path = self.out_dir / f"solution_{idx}.csv"
             t = grid_points(bundle.grid_size)
@@ -344,7 +349,7 @@ def _unmet(run: _Run, reason: str) -> None:
     run.record("hypothesis", {"reason": reason}, passed=False)
 
 
-def _verify_and_store(run: _Run, bundle: SolutionBundle, label: str) -> bool:
+def _verify(run: _Run, bundle: SolutionBundle, label: str) -> bool:
     report = verify_solution(bundle)
     run.record(
         f"verification_{label}",
@@ -352,8 +357,6 @@ def _verify_and_store(run: _Run, bundle: SolutionBundle, label: str) -> bool:
         {"residual": report.residual_tol},
         report.passed,
     )
-    if report.passed:
-        run.add_solution(bundle)
     return report.passed
 
 
@@ -375,7 +378,8 @@ def _verify_scan(run: _Run, needed: int) -> None:
     profile = _scan(run)
     verified = 0
     for idx, bundle in enumerate(profile.solutions, start=1):
-        if bundle is not None and _verify_and_store(run, bundle, str(idx)):
+        if bundle is not None and _verify(run, bundle, str(idx)):
+            run.solutions.append(bundle)
             verified += 1
     run.record("solutions_found", {"count": verified}, passed=verified >= needed)
 
@@ -395,8 +399,8 @@ def _scenario_existence(run: _Run) -> None:
             {"tol": cfg.tol},
             report.status is IterationStatus.CONVERGED,
         )
-        if report.solution is not None:
-            _verify_and_store(run, report.solution, "1")
+        if report.solution is not None and _verify(run, report.solution, "1"):
+            run.solutions.append(report.solution)
         return
 
     _verify_scan(run, 1)
@@ -465,7 +469,8 @@ def _scenario_uniqueness(run: _Run) -> None:
         passed=sub.hypothesis_ok and sub.ratio_min > 0 and sub.gain > 0,
     )
 
-    _verify_and_store(run, solutions[0], "1")
+    if _verify(run, solutions[0], "1"):
+        run.solutions.append(solutions[0])
 
 
 def _scenario_nonexistence(run: _Run) -> None:
@@ -534,7 +539,7 @@ def _scenario_eigenvalue(run: _Run) -> None:
         # whether a row matches is the answer, not a check: a finding
         run.record("lambda_product", {"lambda": lam, **_fields(check)})
 
-    run.add_solution(eig.solution)
+    run.solutions.append(eig.solution)
 
 
 def _scenario_bounds(run: _Run) -> None:
@@ -586,16 +591,18 @@ def _scenario_bounds(run: _Run) -> None:
 def _scenario_verify(run: _Run) -> None:
     cfg = run.config
     try:
-        data = np.loadtxt(cfg.solution_csv, delimiter=",", skiprows=1)
+        data = np.loadtxt(cfg.solution_csv, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read solution CSV: {exc}") from exc
     spec = cfg.spec
-    if data.ndim != 2 or data.shape[1] != spec.n + 1:
+    if len(data) < MIN_GRID_POINTS:
+        raise ConfigError(f"solution CSV needs at least {MIN_GRID_POINTS} rows")
+    if data.shape[1] != spec.n + 1:
         raise ConfigError(f"solution CSV needs columns t, v_1..v_{spec.n}")
     t = data[:, 0]
-    M = t.size
-    if not np.allclose(t, grid_points(M), atol=1e-12):
+    if not np.allclose(t, grid_points(t.size), rtol=0.0, atol=1e-12):
         raise ConfigError("solution CSV must sample the uniform grid on [0, 1]")
+    run.grid = t.size  # judged on the CSV's grid; the config's M is not read
 
     try:
         profiles = tuple(GridFunction(data[:, j + 1]) for j in range(spec.n))
@@ -603,7 +610,7 @@ def _scenario_verify(run: _Run) -> None:
     except ValueError as exc:
         run.record("bundle_invariants", {"error": str(exc)}, passed=False)
         return
-    _verify_and_store(run, bundle, "1")
+    _verify(run, bundle, "1")
 
 
 _SCENARIO_RUNNERS = {
@@ -635,16 +642,6 @@ def run_scenario(
     propagates.
     """
     run = _Run(config, Path(out_dir or "."), quiet)
-    run.record(
-        "run_config",
-        {
-            "scenario": config.scenario,
-            "grid": config.M,
-            "seed": config.seed,
-            "residual_tolerance": residual_tolerance(config.M),
-            "iteration_tolerance": config.tol,
-        },
-    )
     try:
         _SCENARIO_RUNNERS[config.scenario](run)
     except ConfigError:

@@ -56,6 +56,8 @@ __all__ = [
 # inside the remaining headroom for every grid this package targets.
 RESIDUAL_BOUND_CONSTANT = 4000.0
 
+MIN_GRID_POINTS = 7  # fewest grid points that have an interior residual
+
 ADMISSIBILITY_TOL = 1e-5
 CONE_TOL_SCALE = 1e-8
 
@@ -86,8 +88,8 @@ def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarr
     M = profiles[0].grid_size
     if any(p.grid_size != M for p in profiles):
         raise ValueError("profiles must share one grid")
-    if M < 7:
-        raise ValueError("need at least 7 grid points for an interior residual")
+    if M < MIN_GRID_POINTS:
+        raise ValueError(f"an interior residual needs {MIN_GRID_POINTS}+ grid points")
     t = grid_points(M)
     out = np.empty(spec.n)
     for i in range(spec.n):

@@ -21,6 +21,7 @@ from hessball import (
     lambda_product_check,
     make_bundle,
     rescale_to_solution,
+    residual_tolerance,
     sublinearity_check,
     unit_ratio_sign,
 )
@@ -51,9 +52,21 @@ def implied_exit_code(records):
     return 4 if failed else 0
 
 
+def stamps_judged_grid(records):
+    """Every record carries run_config's grid as M, and every verification
+    is judged against run_config's residual tolerance."""
+    run_config = records[0]["values"]
+    return all(r["M"] == run_config["grid"] for r in records) and all(
+        r["tolerances"]["residual"] == run_config["residual_tolerance"]
+        for r in records
+        if r["kind"].startswith("verification_")
+    )
+
+
 @pytest.fixture(autouse=True)
 def exit_code_follows_report(monkeypatch):
-    """Every run in this module exits with the code its report.jsonl implies.
+    """Every run in this module exits with the code its report.jsonl implies,
+    and its report stamps one grid, the one it judged.
 
     Mismatches are collected and asserted at teardown: main turns any
     exception raised inside a run, an assertion included, into exit 4.
@@ -62,8 +75,11 @@ def exit_code_follows_report(monkeypatch):
     mismatches = []
 
     def compare(out, code):
-        if code != implied_exit_code(read_records(out)):
+        records = read_records(out)
+        if code != implied_exit_code(records):
             mismatches.append((str(out), code))
+        if not stamps_judged_grid(records):
+            mismatches.append((str(out), "grid"))
 
     def checked(config, out_dir=None, quiet=False):
         out = Path(out_dir or ".")
@@ -79,7 +95,7 @@ def exit_code_follows_report(monkeypatch):
 
     monkeypatch.setattr(hessball.cli, "run_scenario", checked)
     yield
-    assert not mismatches, "exit code differs from the report's verdict"
+    assert not mismatches, "exit code or grid differs from the report's"
 
 
 def write_config(tmp_path, name, data):
@@ -309,6 +325,20 @@ class TestScenarioConfigApi:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ConfigError, match="invalid"):
             run_scenario(ScenarioConfig("existence", self.SPEC, **{field: value}))
+        assert list(tmp_path.iterdir()) == []  # no report was started
+
+    @pytest.mark.parametrize(
+        "scenario, field, value",
+        [("existence", "spec", {"N": 2}), ("verify", "solution_csv", 5)],
+        ids=["dict-spec", "number-csv"],
+    )
+    def test_types_checked_before_any_numerics(
+        self, tmp_path, monkeypatch, scenario, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        kwargs = {"spec": self.SPEC, field: value}
+        with pytest.raises(ConfigError, match=f"invalid {field}"):
+            run_scenario(ScenarioConfig(scenario, M=301, **kwargs))
         assert list(tmp_path.iterdir()) == []  # no report was started
 
     def test_integral_numbers_become_ints(self, tmp_path):
@@ -704,8 +734,8 @@ class TestVerifyScenario:
         main(["run", uniqueness_config(tmp_path), "--out", str(out), "--quiet"])
         return out / "solution_1.csv"
 
-    def test_round_trip(self, tmp_path):
-        csv = self._solved_csv(tmp_path)
+    def _verify(self, tmp_path, csv):
+        """Exit code of verifying csv with a config that has no M key."""
         path = write_config(
             tmp_path,
             "v.json",
@@ -717,28 +747,40 @@ class TestVerifyScenario:
                 "solution_csv": str(csv),
             },
         )
-        assert main(["run", path, "--out", str(tmp_path / "vout"), "--quiet"]) == 0
+        return main(["run", path, "--out", str(tmp_path / "vout"), "--quiet"])
+
+    def _rewritten(self, tmp_path, data):
+        csv = tmp_path / "rewritten.csv"
+        np.savetxt(csv, data, fmt="%.17g", delimiter=",", header="t,v_1,v_2", comments="")
+        return csv
+
+    def test_round_trip(self, tmp_path):
+        assert self._verify(tmp_path, self._solved_csv(tmp_path)) == 0
+        records = read_records(tmp_path / "vout")
+        # judged on the CSV's 301 points, not on the default M of 1001
+        assert {r["M"] for r in records} == {301}
+        assert records[0]["values"]["residual_tolerance"] == residual_tolerance(301)
+
+    def test_writes_only_its_report(self, tmp_path):
+        assert self._verify(tmp_path, self._solved_csv(tmp_path)) == 0
+        assert [p.name for p in (tmp_path / "vout").iterdir()] == ["report.jsonl"]
+
+    def test_moved_grid_point_rejected(self, tmp_path):
+        data = np.loadtxt(self._solved_csv(tmp_path), delimiter=",", skiprows=1)
+        data[200, 0] += 3e-6  # within numpy's default relative tolerance
+        assert self._verify(tmp_path, self._rewritten(tmp_path, data)) == 2
+        assert not (tmp_path / "vout").exists()
+
+    def test_too_few_rows_rejected(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 5)
+        data = np.column_stack([t, 1.0 - t * t, 1.0 - t * t])
+        assert self._verify(tmp_path, self._rewritten(tmp_path, data)) == 2
+        assert not (tmp_path / "vout").exists()
 
     def test_corrupted_profile_fails(self, tmp_path):
-        csv = self._solved_csv(tmp_path)
-        data = np.loadtxt(csv, delimiter=",", skiprows=1)
+        data = np.loadtxt(self._solved_csv(tmp_path), delimiter=",", skiprows=1)
         data[150, 1] += 0.05
-        tampered = tmp_path / "tampered.csv"
-        np.savetxt(
-            tampered, data, fmt="%.17g", delimiter=",", header="t,v_1,v_2", comments=""
-        )
-        path = write_config(
-            tmp_path,
-            "v.json",
-            {
-                "scenario": "verify",
-                "N": 2,
-                "k": [1, 1],
-                "gamma": [0.5, 0.5],
-                "solution_csv": str(tampered),
-            },
-        )
-        assert main(["run", path, "--out", str(tmp_path / "vout"), "--quiet"]) == 4
+        assert self._verify(tmp_path, self._rewritten(tmp_path, data)) == 4
 
     def test_column_count_checked(self, tmp_path):
         csv = self._solved_csv(tmp_path)
