@@ -470,15 +470,15 @@ def sublinearity_check(
         raise ValueError("v must be nonzero")
     rho = spec.homogeneity_ratio
 
-    w = apply_composite(spec, v)
-    t = grid_points(w.grid_size)
-    ratios = w.values[:-1] / (1.0 - t[:-1])
+    w = apply_composite(spec, v)[0]
+    t = grid_points(w.size)
+    ratios = w[:-1] / (1.0 - t[:-1])
     ratio_min = float(np.min(ratios))
     ratio_max = float(np.max(ratios))
 
-    scaled = apply_composite(spec, GridFunction(xi * v.values))
-    mask = w.values > 0
-    gain = float(np.min(scaled.values[mask] / (xi * w.values[mask]))) - 1.0
+    scaled = apply_composite(spec, xi * v.values)[0]
+    mask = w > 0
+    gain = float(np.min(scaled[mask] / (xi * w[mask]))) - 1.0
     gain_expected = xi ** (rho - 1.0) - 1.0
 
     return SublinearityReport(

@@ -164,24 +164,19 @@ def apply_operator(spec: SystemSpec, i: int, v: GridFunction | np.ndarray) -> Gr
 
 
 def apply_composite(
-    spec: SystemSpec,
-    v1: GridFunction | np.ndarray,
-    return_chain: bool = False,
-    *,
-    plan: QuadratureTable | None = None,
-):
+    spec: SystemSpec, v1: GridFunction | np.ndarray, *, plan: QuadratureTable | None = None
+) -> tuple[np.ndarray, ...]:
     """Cyclic composition: equation n's operator first, then n-1, ..., then 1.
 
     Feeding v1 (the profile coupled to equation n) through the whole cycle
-    returns the updated first unknown as a GridFunction.  With
-    return_chain=True the result is the tuple (w1, ..., wn) of all
-    intermediate outputs as raw arrays, where wn is the innermost
-    application and w1 the final one; a SolutionBundle wraps them.  v1 may
-    be a GridFunction or a raw array; it is checked once, every operator
-    output is checked for finiteness (NonFiniteError, a ValueError), and the
-    operators share one quadrature plan and pass raw arrays between them.
-    That plan is the given one, which a solver reuses across its composites
-    (a plan on another grid size is a ValueError), or else a fresh one.
+    returns the chain (w1, ..., wn) of all operator outputs as raw arrays:
+    wn is the innermost application and w1 the updated first unknown, and a
+    SolutionBundle wraps them.  v1 may be a GridFunction or a raw array; it
+    is checked once, every operator output is checked for finiteness
+    (NonFiniteError, a ValueError), and the operators share one quadrature
+    plan and pass raw arrays between them.  That plan is the given one,
+    which a solver reuses across its composites (a plan on another grid
+    size is a ValueError), or else a fresh one.
     """
     w = _checked_input(v1)
     if plan is None:
@@ -191,9 +186,8 @@ def apply_composite(
     chain: list[np.ndarray] = []
     for i in range(spec.n, 0, -1):
         w = _grid_samples(_apply(spec, i, w, plan))
-        if return_chain:
-            chain.append(w)
-    return tuple(reversed(chain)) if return_chain else GridFunction(w)
+        chain.append(w)
+    return tuple(reversed(chain))
 
 
 def _derivatives(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -91,10 +91,20 @@ def make_bundle(spec: SystemSpec, v1: GridFunction) -> SolutionBundle:
     equation up to quadrature error; the fixed-point error shows up only in
     the last equation's coupling back to profile 1.
     """
-    return SolutionBundle(v=apply_composite(spec, v1, return_chain=True), spec=spec)
+    return SolutionBundle(v=apply_composite(spec, v1), spec=spec)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _composite(
+    spec: SystemSpec, v: np.ndarray, plan: QuadratureTable
+) -> tuple[np.ndarray, ...] | None:
+    """apply_composite on plan with numpy's over/invalid warnings off; None on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return apply_composite(spec, v, plan=plan)
+        except NonFiniteError:
+            return None
+
+
 def picard_solve(
     spec: SystemSpec,
     init: GridFunction,
@@ -110,9 +120,9 @@ def picard_solve(
     trivial fixed point; divergence trips at norm 1e10, and MAX_ITER after
     PICARD_MAX_ITER steps.  A step whose composite overflows (non-finite
     samples) reads as an infinite norm and delta, so it also ends in
-    DIVERGED; numpy's overflow warnings are off for the call.  The bundle
-    is the last composite's chain, so its coupling defect is final_delta.
-    Every step shares one quadrature plan, dropped on return.
+    DIVERGED.  The bundle is the last composite's chain, so its coupling
+    defect is final_delta.  Every step shares one quadrature plan, dropped
+    on return.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -125,9 +135,8 @@ def picard_solve(
     delta = math.inf
     status = IterationStatus.MAX_ITER
     for iterations in range(1, PICARD_MAX_ITER + 1):
-        try:
-            chain = apply_composite(spec, v, return_chain=True, plan=plan)
-        except NonFiniteError:
+        chain = _composite(spec, v, plan)
+        if chain is None:
             delta = norm = math.inf
         else:
             delta = sup_norm(chain[0] - v)
@@ -173,34 +182,38 @@ class EigenResult:
 def _shape_iteration(
     spec: SystemSpec,
     r: float,
-    shape: np.ndarray,
+    start: np.ndarray,
     plan: QuadratureTable,
     tol: float = SCAN_INNER_TOL,
     max_iter: int = SCAN_MAX_INNER,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], float, int]:
-    """Run v <- r A(v)/||A(v)|| until a step changes the shape by at most tol.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None, float, float, int]:
+    """Run v <- r A(v)/||A(v)|| from start until a step moves the shape <= tol.
 
-    Returns (shape, chain, delta, iterations) of the last step: shape is
-    its input, chain the chain of A(r shape), so G = ||A(r shape)|| is
-    sup_norm(chain[0]), and delta its shape change.  An annihilated
-    iterate (A(r shape) = 0) stops with delta = inf, so it never counts as
-    converged.  Every composite uses the caller's quadrature plan.
+    Returns (shape, chain, delta, G, iterations) of the last step: shape is
+    its input, chain the chain of A(r shape), G = ||A(r shape)|| and delta
+    the step's shape change.  An annihilated iterate (G = 0) stops with
+    delta = inf, so it never counts as converged.  An overflowing composite
+    returns (start, None, inf, inf, iterations), so a warm start never
+    inherits an iterate on its way to overflow.  Every composite uses the
+    caller's quadrature plan.
     """
-    new_shape = shape
+    new_shape = start
     for it in range(1, max_iter + 1):
         shape = new_shape
         # the last chain stays alive across this composite: dropping it first
         # tripled the page faults, ~35% slower at M = 64001 on a Xeon VM
-        chain = apply_composite(spec, r * shape, return_chain=True, plan=plan)
-        norm = sup_norm(chain[0])
-        if norm == 0:
+        chain = _composite(spec, r * shape, plan)
+        if chain is None:
+            return start, None, math.inf, math.inf, it
+        G = sup_norm(chain[0])
+        if G == 0:
             delta = math.inf
             break
-        new_shape = chain[0] / norm
+        new_shape = chain[0] / G
         delta = sup_norm(new_shape - shape)
         if delta <= tol:
             break
-    return shape, chain, delta, it
+    return shape, chain, delta, G, it
 
 
 def normalized_power_iteration(
@@ -212,18 +225,18 @@ def normalized_power_iteration(
 
     Normalization strips the scaling degree, so the iteration converges for
     any homogeneity; the returned mu is meaningful as an eigenvalue
-    reciprocal only in the degree-1 case.  Every step shares one quadrature
-    plan, dropped on return.
+    reciprocal only in the degree-1 case.  A composite that annihilates
+    the iterate or overflows (mu = 0 or inf) is a ValueError.  Every step
+    shares one quadrature plan, dropped on return.
     """
     if not cone_check(init).in_cone or sup_norm(init) == 0:
         raise ValueError("initial profile must be a nonzero cone element")
     shape = init.values / sup_norm(init)
-    shape, chain, delta, iterations = _shape_iteration(
+    shape, chain, delta, mu, iterations = _shape_iteration(
         spec, 1.0, shape, QuadratureTable(shape.size), tol, POWER_MAX_ITER
     )
-    mu = sup_norm(chain[0])
-    if mu == 0:
-        raise ValueError("composite map annihilated the iterate; system is degenerate")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"composite map sent the iterate to norm {mu}; system is degenerate")
     return EigenResult(
         shape=GridFunction(shape),
         mu=mu,
@@ -284,16 +297,6 @@ def _default_shape(M: int) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _scan_step(spec: SystemSpec, r: float, shape: np.ndarray, plan: QuadratureTable):
-    """_shape_iteration at r as (shape, chain, delta, G); overflow: chain None, G inf."""
-    try:
-        shape, chain, delta, _ = _shape_iteration(spec, r, shape, plan)
-    except NonFiniteError:
-        return shape, None, math.inf, math.inf
-    return shape, chain, delta, sup_norm(chain[0])
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def norm_profile_scan(
     spec: SystemSpec,
     r_min: float,
@@ -314,11 +317,11 @@ def norm_profile_scan(
     polish stops once the defect is at most SCAN_INNER_TOL r, the bracket
     cannot be split, or after POLISH_MAX_STEPS points, and that chain is the
     root's bundle, accepted when the defect is at most ACCEPT_DEFECT (1 + r).
-    An overflowing composite reads as G = inf (numpy's overflow warnings are
-    off for the call).  Deliberately not picard_solve: a root can be
-    repelling, and its profile can sit outside the cone (steeply decreasing
-    forcing bends the tail convex), so no march and no cone gate.  The
-    coarse pass and every polish share one quadrature plan.
+    An overflowing composite reads as G = inf.  Deliberately not
+    picard_solve: a root can be repelling, and its profile can sit outside
+    the cone (steeply decreasing forcing bends the tail convex), so no march
+    and no cone gate.  The coarse pass and every polish share one
+    quadrature plan.
     """
     if not 0 < r_min < r_max < math.inf:
         raise ValueError("need 0 < r_min < r_max, both finite")
@@ -332,7 +335,7 @@ def norm_profile_scan(
     shape = _default_shape(grid_size)
     plan = QuadratureTable(shape.size)
     for j, r in enumerate(radii):
-        shape, _, delta, values[j] = _scan_step(spec, float(r), shape, plan)
+        shape, _, delta, values[j], _ = _shape_iteration(spec, float(r), shape, plan)
         converged[j] = delta <= SCAN_INNER_TOL
         shapes.append(shape)
 
@@ -360,7 +363,7 @@ def norm_profile_scan(
             if step and not x[0] < point < x[1]:
                 break
             r = math.exp(point)
-            shape, chain, _, G = _scan_step(spec, r, shape, plan)
+            shape, chain, _, G, _ = _shape_iteration(spec, r, shape, plan)
             step += 1
             defect = math.inf if chain is None else sup_norm(chain[0] - r * shape)
             if defect <= SCAN_INNER_TOL * r:

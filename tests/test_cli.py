@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from hessball.cli import (
     main,
     run_scenario,
 )
+from hessball.verify import MIN_GRID_POINTS
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
 SCAN_SYSTEM = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [2, 2]}
@@ -225,6 +227,14 @@ class TestLoadConfig:
              "terms": [[[1, 0, 0.5]], [[1, 0, "0.5"]]]},
             {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
              "lambda": [[True, 1.0]]},
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "lambda": [[33.4452, 1.0], [1.0]]},
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "lambda": [[1.0, 1.0, 1.0]]},
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "lambda": [[0.0, 1.0]]},
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "lambda": [[1.0, -33.4]]},
         ],
         ids=[
             "no-scenario",
@@ -264,6 +274,10 @@ class TestLoadConfig:
             "huge-grid",
             "string-term",
             "boolean-lambda",
+            "short-lambda",
+            "long-lambda",
+            "zero-lambda",
+            "negative-lambda",
         ],
     )
     def test_rejected_configs(self, tmp_path, broken):
@@ -307,6 +321,10 @@ class TestScenarioConfigApi:
             ("M", 10**400),
             ("lambdas", ((math.nan, 1.0),)),
             ("lambdas", (1.0, 2.0)),
+            ("lambdas", ((1.0,),)),
+            ("lambdas", ((),)),
+            ("lambdas", ((1.0, 0.0),)),
+            ("lambdas", ((-1.0, 2.0),)),
         ],
         ids=[
             "fractional-grid",
@@ -319,6 +337,10 @@ class TestScenarioConfigApi:
             "huge-grid",
             "nan-lambda",
             "flat-lambda",
+            "short-lambda",
+            "empty-lambda",
+            "zero-lambda",
+            "negative-lambda",
         ],
     )
     def test_rejected_before_any_numerics(self, tmp_path, monkeypatch, field, value):
@@ -775,6 +797,17 @@ class TestVerifyScenario:
         t = np.linspace(0.0, 1.0, 5)
         data = np.column_stack([t, 1.0 - t * t, 1.0 - t * t])
         assert self._verify(tmp_path, self._rewritten(tmp_path, data)) == 2
+        assert not (tmp_path / "vout").exists()
+
+    def test_header_only_csv_is_one_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("t,v_1,v_2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._verify(tmp_path, csv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: solution CSV needs at least {MIN_GRID_POINTS} rows\n"
+        )
         assert not (tmp_path / "vout").exists()
 
     def test_corrupted_profile_fails(self, tmp_path):

@@ -169,28 +169,32 @@ class TestApplyComposite:
         spec = constant_system(2, 1)
         M = 201
         t = grid_points(M)
-        w = apply_composite(spec, dome(M))
-        np.testing.assert_allclose(w.values, 0.25 * (1.0 - t * t), atol=1e-13)
+        w = apply_composite(spec, dome(M))[0]
+        np.testing.assert_allclose(w, 0.25 * (1.0 - t * t), atol=1e-13)
 
     def test_return_chain_structure(self):
         spec = PowerSystemSpec(3, (1, 2, 3), (1.0, 1.0, 1.0))
         v1 = dome(101)
-        chain = apply_composite(spec, v1, return_chain=True)
-        assert len(chain) == 3
         innermost = apply_operator(spec, 3, v1)
-        np.testing.assert_array_equal(chain[2], innermost.values)
-        w = apply_composite(spec, v1)
-        np.testing.assert_array_equal(chain[0], w.values)
+        middle = apply_operator(spec, 2, innermost)
+        outer = apply_operator(spec, 1, middle)
+        for given in (v1.values, v1):  # a raw array or a GridFunction
+            chain = apply_composite(spec, given)
+            assert type(chain) is tuple and len(chain) == spec.n
+            assert all(type(w) is np.ndarray and w.shape == (101,) for w in chain)
+            np.testing.assert_array_equal(chain[2], innermost.values)
+            np.testing.assert_array_equal(chain[1], middle.values)
+            np.testing.assert_array_equal(chain[0], outer.values)
 
     def test_composite_homogeneity(self):
         spec = PowerSystemSpec(3, (2, 1), (1.0, 0.5))
         rho = spec.homogeneity_ratio
         v = dome(201)
         c = 2.5
-        w1 = apply_composite(spec, GridFunction(c * v.values))
-        w2 = apply_composite(spec, v)
+        w1 = apply_composite(spec, GridFunction(c * v.values))[0]
+        w2 = apply_composite(spec, v)[0]
         np.testing.assert_allclose(
-            w1.values, c**rho * w2.values, rtol=1e-12, atol=1e-14
+            w1, c**rho * w2, rtol=1e-12, atol=1e-14
         )
 
     def test_shared_plan_gives_the_fresh_plan_chain(self):
@@ -198,8 +202,8 @@ class TestApplyComposite:
         plan = QuadratureTable(201)
         for c in (1.0, 2.5, 0.1):  # later calls reuse the plan's panel weights
             v = GridFunction(c * dome(201).values)
-            shared = apply_composite(spec, v, return_chain=True, plan=plan)
-            fresh = apply_composite(spec, v, return_chain=True)
+            shared = apply_composite(spec, v, plan=plan)
+            fresh = apply_composite(spec, v)
             for got, want in zip(shared, fresh):
                 np.testing.assert_array_equal(got, want)
 
@@ -208,9 +212,8 @@ class TestApplyComposite:
         spec = power_pair(2, 1)
         M = 101
         v = dome(M)
-        for chain in (False, True):
-            with pytest.raises(ValueError, match="quadrature plan has M"):
-                apply_composite(spec, v, chain, plan=QuadratureTable(M + offset))
+        with pytest.raises(ValueError, match="quadrature plan has M"):
+            apply_composite(spec, v, plan=QuadratureTable(M + offset))
 
 
 def reference_forcing(f, t, v):
@@ -272,10 +275,9 @@ def assert_kernel_matches_reference(N, k, f, M):
     w1 = reference_operator(spec, 1, w2)
     np.testing.assert_array_equal(apply_operator(spec, 2, v).values, w2)
     np.testing.assert_array_equal(apply_operator(spec, 1, GridFunction(w2)).values, w1)
-    chain = apply_composite(spec, v, return_chain=True)
-    np.testing.assert_array_equal(chain[1], w2)
-    np.testing.assert_array_equal(chain[0], w1)
-    np.testing.assert_array_equal(apply_composite(spec, GridFunction(v)).values, w1)
+    for chain in (apply_composite(spec, v), apply_composite(spec, GridFunction(v))):
+        np.testing.assert_array_equal(chain[1], w2)
+        np.testing.assert_array_equal(chain[0], w1)
 
 
 class TestKernelMatchesReference:
@@ -319,8 +321,6 @@ class TestKernelMatchesReference:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="grid function samples must be finite"):
                     apply_composite(spec, v)
-                with pytest.raises(ValueError, match="grid function samples must be finite"):
-                    apply_composite(spec, v, return_chain=True)
 
 
 class TestRadialHessian:

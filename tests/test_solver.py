@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from hessball import (
     verify_solution,
 )
 from hessball import operators, solver
-from hessball.core import _values
+from hessball.core import NonFiniteError, _values
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
 CRITICAL = PowerSystemSpec(2, (1, 1), (1.0, 1.0))
@@ -50,7 +51,7 @@ class TestMakeBundle:
     def test_chain_structure(self):
         v1 = dome(101)
         bundle = make_bundle(SUBLINEAR, v1)
-        chain = apply_composite(SUBLINEAR, v1, return_chain=True)
+        chain = apply_composite(SUBLINEAR, v1)
         for stored, computed in zip(bundle.v, chain):
             np.testing.assert_array_equal(stored.values, computed)
 
@@ -124,7 +125,7 @@ class TestPicardSolve:
         init = dome(301)
         rep = picard_solve(CRITICAL, init, tol=1e-12)
         assert rep.status is IterationStatus.MAX_ITER
-        step = apply_composite(CRITICAL, init).values
+        step = apply_composite(CRITICAL, init)[0]
         defect = float(np.max(np.abs(step - init.values)))
         assert rep.final_delta == defect
 
@@ -146,9 +147,9 @@ class TestNormalizedPowerIteration:
 
     def test_eigenpair_relation(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(401), tol=1e-12)
-        w = apply_composite(LAPLACE_3D, eig.shape)
+        w = apply_composite(LAPLACE_3D, eig.shape)[0]
         assert sup_norm(eig.shape) == pytest.approx(1.0, abs=1e-12)
-        assert float(np.max(np.abs(w.values - eig.mu * eig.shape.values))) < 1e-10
+        assert float(np.max(np.abs(w - eig.mu * eig.shape.values))) < 1e-10
         assert eig.lambda0 == pytest.approx(1.0 / eig.mu, rel=1e-14)
         assert cone_check(eig.shape).in_cone
 
@@ -178,6 +179,19 @@ class TestNormalizedPowerIteration:
         with pytest.raises(ValueError):
             normalized_power_iteration(LAPLACE_3D, GridFunction(np.zeros(301)))
 
+    @pytest.mark.parametrize(
+        "c, mu", [(1e308, "inf"), (1e-300, "0.0")], ids=["overflow", "annihilated"]
+    )
+    def test_degenerate_composite_is_one_value_error(self, c, mu):
+        # two 1e308 terms overflow their sum; 1e-300 twice underflows to 0
+        f = NonlinearitySpec(((c, 0.0, 1.0), (c, 0.0, 1.0)))
+        spec = SystemSpec(2, (1, 1), (f, f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"to norm {mu};") as excinfo:
+                normalized_power_iteration(spec, dome(101))
+        assert not isinstance(excinfo.value, NonFiniteError)
+
 
 class TestRescaleToSolution:
     def test_matches_picard_for_sublinear(self):
@@ -193,8 +207,8 @@ class TestRescaleToSolution:
         spec = PowerSystemSpec(2, (1, 1), (3.0, 3.0))
         eig = normalized_power_iteration(spec, dome(401), tol=1e-12)
         bundle = rescale_to_solution(spec, eig)
-        w = apply_composite(spec, bundle.v[0])
-        defect = np.max(np.abs(w.values - bundle.v[0].values))
+        w = apply_composite(spec, bundle.v[0])[0]
+        defect = np.max(np.abs(w - bundle.v[0].values))
         assert defect / (1.0 + sup_norm(bundle.v[0])) < 1e-8
 
     def test_critical_ratio_returns_none(self):
@@ -264,9 +278,9 @@ class TestNormProfileScan:
         seen = []
         apply = solver.apply_composite
 
-        def hashing(spec, v1, return_chain=False, **kwargs):
+        def hashing(spec, v1, **kwargs):
             seen.append(hashlib.sha256(_values(v1).tobytes()).hexdigest())
-            return apply(spec, v1, return_chain=return_chain, **kwargs)
+            return apply(spec, v1, **kwargs)
 
         monkeypatch.setattr(solver, "apply_composite", hashing)
         prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
@@ -318,7 +332,7 @@ def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
     shape = solver._default_shape(grid_size)
     plan = QuadratureTable(grid_size)
     for j, r in enumerate(radii):
-        shape, _, _, values[j] = solver._scan_step(spec, float(r), shape, plan)
+        shape, _, _, values[j], _ = solver._shape_iteration(spec, float(r), shape, plan)
         shapes.append(shape)
 
     negative = np.signbit(values - radii)
@@ -329,7 +343,7 @@ def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
         shape = shapes[j]
         mid = 0.5 * (lo + hi)
         while True:
-            shape, chain, _, G = solver._scan_step(spec, mid, shape, plan)
+            shape, chain, _, G, _ = solver._shape_iteration(spec, mid, shape, plan)
             defect = math.inf if chain is None else sup_norm(chain[0] - mid * shape)
             if defect <= solver.SCAN_INNER_TOL * mid:
                 break
@@ -406,8 +420,8 @@ def record_composites(monkeypatch):
     calls = []
     apply = solver.apply_composite
 
-    def recording(spec, v1, return_chain=False, **kwargs):
-        out = apply(spec, v1, return_chain=return_chain, **kwargs)
+    def recording(spec, v1, **kwargs):
+        out = apply(spec, v1, **kwargs)
         calls.append((np.array(_values(v1)), out))
         return out
 
@@ -458,7 +472,7 @@ class TestOneCompositePerStep:
 
         def counting(*args, **kwargs):
             out = shape_iteration(*args, **kwargs)
-            inner.append(out[3])
+            inner.append(out[-1])
             return out
 
         monkeypatch.setattr(solver, "_shape_iteration", counting)
@@ -491,13 +505,13 @@ def assert_fresh_plan_chains(spec, calls, bundles):
     """Every recorded chain, and so every returned bundle, as a fresh plan gives it."""
     inputs = {}
     for v1, chain in calls:
-        fresh = apply_composite(spec, v1, return_chain=True)
+        fresh = apply_composite(spec, v1)
         for got, want in zip(chain, fresh):
             np.testing.assert_array_equal(got, want)
         inputs[chain[0].tobytes()] = v1
     for bundle in bundles:
         v1 = inputs[bundle.v[0].values.tobytes()]
-        fresh = apply_composite(spec, v1, return_chain=True)
+        fresh = apply_composite(spec, v1)
         for got, want in zip(bundle.v, fresh):
             np.testing.assert_array_equal(got.values, want)
 
@@ -569,8 +583,8 @@ class TestLambdaMachinery:
     def test_matching_multipliers_admit_the_eigenfunction(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(401), tol=1e-12)
         scaled = lambda_scaled_system(LAPLACE_3D, (1.0, eig.lambda0))
-        w = apply_composite(scaled, eig.shape)
-        assert float(np.max(np.abs(w.values - eig.shape.values))) < 1e-9
+        w = apply_composite(scaled, eig.shape)[0]
+        assert float(np.max(np.abs(w - eig.shape.values))) < 1e-9
 
     def test_scaled_system_eigenvalue_is_one(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(401), tol=1e-12)
@@ -596,8 +610,8 @@ class TestLambdaMachinery:
         # after the substitution the only multiplier is the collapsed product
         product = lambda_product_check(LAPLACE_3D, lam, eig).product
         single = lambda_scaled_system(LAPLACE_3D, (product, 1.0))
-        w = apply_composite(single, eig.shape)
-        assert float(np.max(np.abs(w.values - eig.shape.values))) < 1e-9
+        w = apply_composite(single, eig.shape)[0]
+        assert float(np.max(np.abs(w - eig.shape.values))) < 1e-9
 
 
 class TestPurePowerPreconditions:
@@ -643,6 +657,6 @@ class TestCompositeMonotonicity:
         t = grid_points(101)
         lo = np.polyval(coeffs, t) * (1.0 - t)
         hi = lo + bump * (1.0 - t)
-        a = apply_composite(spec, GridFunction(lo)).values
-        b = apply_composite(spec, GridFunction(hi)).values
+        a = apply_composite(spec, GridFunction(lo))[0]
+        b = apply_composite(spec, GridFunction(hi))[0]
         assert np.all(a <= b + 1e-12)
