@@ -5,116 +5,15 @@ verification for cyclically coupled Hessian-type boundary value problems
 under radial symmetry.
 """
 
-from .core import (
-    GridFunction,
-    NonlinearitySpec,
-    PowerSystemSpec,
-    SolutionBundle,
-    SystemSpec,
-    UNIT_RATIO_TOL,
-    eval_nonlinearity,
-    grid_points,
-    sup_norm,
-    unit_ratio_sign,
-)
-from .operators import (
-    QuadratureTable,
-    apply_composite,
-    apply_operator,
-    hessian_eigenvalues,
-    radial_hessian,
-)
-from .analysis import (
-    BoundCheck,
-    ConeReport,
-    GrowthClass,
-    SublinearityReport,
-    ThresholdReport,
-    admissibility_check,
-    chain_contraction_bound,
-    classify_growth,
-    cone_check,
-    lower_bound_check,
-    lower_bound_constant,
-    multiplicity_thresholds,
-    sublinearity_check,
-    upper_bound_check,
-    upper_bound_prefactor,
-)
-from .solver import (
-    EigenResult,
-    IterationReport,
-    IterationStatus,
-    LambdaProductCheck,
-    NormProfile,
-    lambda_product_check,
-    lambda_product_exponents,
-    lambda_scaled_system,
-    make_bundle,
-    norm_profile_scan,
-    normalized_power_iteration,
-    picard_solve,
-    rescale_to_solution,
-)
-from .verify import (
-    RESIDUAL_BOUND_CONSTANT,
-    VerificationReport,
-    constant_forcing_solution,
-    ode_residual,
-    residual_tolerance,
-    verify_solution,
-)
+from . import analysis, core, operators, solver, verify
+from .core import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCheck",
-    "ConeReport",
-    "EigenResult",
-    "GridFunction",
-    "GrowthClass",
-    "IterationReport",
-    "IterationStatus",
-    "LambdaProductCheck",
-    "NonlinearitySpec",
-    "NormProfile",
-    "PowerSystemSpec",
-    "QuadratureTable",
-    "RESIDUAL_BOUND_CONSTANT",
-    "SolutionBundle",
-    "SublinearityReport",
-    "SystemSpec",
-    "ThresholdReport",
-    "UNIT_RATIO_TOL",
-    "VerificationReport",
-    "admissibility_check",
-    "apply_composite",
-    "apply_operator",
-    "chain_contraction_bound",
-    "classify_growth",
-    "cone_check",
-    "constant_forcing_solution",
-    "eval_nonlinearity",
-    "grid_points",
-    "hessian_eigenvalues",
-    "lambda_product_check",
-    "lambda_product_exponents",
-    "lambda_scaled_system",
-    "lower_bound_check",
-    "lower_bound_constant",
-    "make_bundle",
-    "multiplicity_thresholds",
-    "norm_profile_scan",
-    "normalized_power_iteration",
-    "ode_residual",
-    "picard_solve",
-    "radial_hessian",
-    "rescale_to_solution",
-    "residual_tolerance",
-    "sublinearity_check",
-    "sup_norm",
-    "unit_ratio_sign",
-    "upper_bound_check",
-    "upper_bound_prefactor",
-    "verify_solution",
-]
+__all__ = sorted(
+    {name for module in (core, operators, analysis, solver, verify) for name in module.__all__}
+)

@@ -48,6 +48,7 @@ __all__ = [
     "cone_check",
     "lower_bound_check",
     "lower_bound_constant",
+    "multiplicity_thresholds",
     "sublinearity_check",
     "upper_bound_check",
     "upper_bound_prefactor",
@@ -58,6 +59,7 @@ WINDOW_FRACTION = 0.25
 THRESHOLD_T_POINTS = 64  # t grid of the threshold chains' box extrema
 CONE_TOL = 1e-10  # round-off slack on both cone inequalities
 BOUND_TOL = 1e-8  # slack of the lower and upper operator bound checks
+WINDOW_QUADRATURE_POINTS = 4001  # trapezoid nodes of the window constant
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,23 @@ def cone_check(v: GridFunction | np.ndarray) -> ConeReport:
 
 
 @lru_cache(maxsize=256)
-def lower_bound_constant(k: int, N: int, M: int = 4001) -> float:
+def lower_bound_constant(k: int, N: int) -> float:
     """Window constant: integral over [1/4, 3/4] of the operator kernel floor.
 
     Equals the integral of ((k/tau^{N-k}) * (tau^N - 4^{-N})/N / C(N-1,k-1))^{1/k}
-    over tau in [1/4, 3/4].  The integrand leaves 1/4 like (tau - 1/4)^{1/k},
-    so the quadrature substitutes tau = 1/4 + sigma^k/2: the transformed
-    integrand is smooth in sigma and the composite trapezoid rule recovers
-    second-order convergence for every k.
+    over tau in [1/4, 3/4], by _window_quadrature on
+    WINDOW_QUADRATURE_POINTS nodes.
+    """
+    return _window_quadrature(k, N, WINDOW_QUADRATURE_POINTS)
+
+
+def _window_quadrature(k: int, N: int, M: int) -> float:
+    """The window constant by the trapezoid rule on M nodes.
+
+    The integrand leaves 1/4 like (tau - 1/4)^{1/k}, so the quadrature
+    substitutes tau = 1/4 + sigma^k/2: the transformed integrand is smooth
+    in sigma and the composite trapezoid rule recovers second-order
+    convergence for every k.
     """
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")

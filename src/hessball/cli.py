@@ -78,16 +78,6 @@ EXIT_NUMERICAL = 4
 
 DOWNSCALE_XI = 0.5  # xi of the uniqueness scenario's sublinearity check
 
-SCENARIOS = (
-    "existence",
-    "multiplicity",
-    "uniqueness",
-    "nonexistence",
-    "eigenvalue",
-    "bounds",
-    "verify",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -118,7 +108,7 @@ class ScenarioConfig:
         Python caller meet the same checks and the same ConfigError.  Each
         lambda row needs one positive multiplier per equation.
         """
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _SCENARIO_RUNNERS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not isinstance(self.spec, SystemSpec):
             raise ConfigError(f"invalid spec: {self.spec!r} is not a SystemSpec")
@@ -264,18 +254,41 @@ def _write_csv(path: Path, header: str, data: np.ndarray) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _read_solution_csv(config: ScenarioConfig) -> np.ndarray:
+    """The verify scenario's solution CSV, checked; every fault is a ConfigError."""
+    try:
+        with warnings.catch_warnings():
+            # a header-only CSV is the row-count config error below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(config.solution_csv, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read solution CSV: {exc}") from exc
+    n = config.spec.n
+    if len(data) < MIN_GRID_POINTS:
+        raise ConfigError(f"solution CSV needs at least {MIN_GRID_POINTS} rows")
+    if data.shape[1] != n + 1:
+        raise ConfigError(f"solution CSV needs columns t, v_1..v_{n}")
+    if not np.allclose(data[:, 0], grid_points(len(data)), rtol=0.0, atol=1e-12):
+        raise ConfigError("solution CSV must sample the uniform grid on [0, 1]")
+    return data
+
+
 class _Run:
     """Accumulates findings and solutions; writes everything at the end."""
 
-    def __init__(self, config: ScenarioConfig, out_dir: Path, quiet: bool):
+    def __init__(self, config: ScenarioConfig, out_dir: Path, quiet: bool,
+                 csv: np.ndarray | None):
         self.config = config
         self.out_dir = out_dir
         self.quiet = quiet
-        self.grid = config.M  # the grid judged, stamped on every record by flush
+        self.csv = csv  # the verify scenario's input, read before the run
+        # the grid judged, stamped on every record: the CSV's, else config.M
+        self.grid = config.M if csv is None else len(csv)
         self.records: list[dict] = []
         self.solutions: list[SolutionBundle] = []
         self.record("run_config", {"scenario": config.scenario, "seed": config.seed,
-                                   "iteration_tolerance": config.tol})
+                                   "iteration_tolerance": config.tol, "grid": self.grid,
+                                   "residual_tolerance": residual_tolerance(self.grid)})
 
     def record(self, kind: str, values: dict, tolerances: dict | None = None,
                passed: bool | None = None) -> None:
@@ -299,8 +312,6 @@ class _Run:
         return EXIT_NUMERICAL if failed else EXIT_OK
 
     def flush(self) -> None:
-        grid = {"grid": self.grid, "residual_tolerance": residual_tolerance(self.grid)}
-        self.records[0]["values"].update(grid)  # the run_config record
         self.out_dir.mkdir(parents=True, exist_ok=True)
         report = self.out_dir / "report.jsonl"
         with report.open("w") as fh:
@@ -593,26 +604,9 @@ def _scenario_bounds(run: _Run) -> None:
 
 
 def _scenario_verify(run: _Run) -> None:
-    cfg = run.config
+    spec = run.config.spec
     try:
-        with warnings.catch_warnings():
-            # a header-only CSV is the row-count config error below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(cfg.solution_csv, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read solution CSV: {exc}") from exc
-    spec = cfg.spec
-    if len(data) < MIN_GRID_POINTS:
-        raise ConfigError(f"solution CSV needs at least {MIN_GRID_POINTS} rows")
-    if data.shape[1] != spec.n + 1:
-        raise ConfigError(f"solution CSV needs columns t, v_1..v_{spec.n}")
-    t = data[:, 0]
-    if not np.allclose(t, grid_points(t.size), rtol=0.0, atol=1e-12):
-        raise ConfigError("solution CSV must sample the uniform grid on [0, 1]")
-    run.grid = t.size  # judged on the CSV's grid; the config's M is not read
-
-    try:
-        profiles = tuple(GridFunction(data[:, j + 1]) for j in range(spec.n))
+        profiles = tuple(GridFunction(run.csv[:, j + 1]) for j in range(spec.n))
         bundle = SolutionBundle(v=profiles, spec=spec)
     except ValueError as exc:
         run.record("bundle_invariants", {"error": str(exc)}, passed=False)
@@ -644,15 +638,15 @@ def run_scenario(
 ) -> int:
     """Execute one scenario; write report.jsonl and solution CSVs; return exit code.
 
-    A scenario that fails with an exception other than ConfigError still
+    Every ConfigError, a bad solution CSV included, is raised before the
+    first record.  A scenario that then fails with an exception still
     writes its report, ending in an error record, and the exception
     propagates.
     """
-    run = _Run(config, Path(out_dir or "."), quiet)
+    csv = _read_solution_csv(config) if config.scenario == "verify" else None
+    run = _Run(config, Path(out_dir or "."), quiet, csv)
     try:
         _SCENARIO_RUNNERS[config.scenario](run)
-    except ConfigError:
-        raise  # invalid input, not a failed run: stderr names the fault
     except Exception as exc:
         values = {"type": type(exc).__name__, "message": str(exc),
                   "location": _error_location(exc)}

@@ -39,6 +39,7 @@ from hessball import (
     sup_norm,
     verify_solution,
 )
+from hessball.analysis import _window_quadrature
 from richardson import richardson_order
 
 # dimensionless Dirichlet ball eigenvalues of the squared Laplacian:
@@ -111,7 +112,7 @@ def test_criterion_02_window_constant():
         for k in range(1, N + 1):
             ref = GAMMA_REF[(k, N)]
             conv = richardson_order(
-                lambda M, k=k, N=N, ref=ref: lower_bound_constant(k, N, M) - ref,
+                lambda M, k=k, N=N, ref=ref: _window_quadrature(k, N, M) - ref,
                 (251, 501, 1001, 2001),
             )
             # a saturated study means the rule is exact on this pair, which

@@ -22,6 +22,7 @@ from hessball import (
     upper_bound_check,
     upper_bound_prefactor,
 )
+from hessball.analysis import _window_quadrature
 from richardson import richardson_order
 
 # window integrals, cross-checked against adaptive quadrature to 1e-14;
@@ -82,7 +83,7 @@ class TestLowerBoundConstant:
     def test_positive_everywhere(self):
         for N in range(1, 7):
             for k in range(1, N + 1):
-                assert lower_bound_constant(k, N, M=801) > 0.0
+                assert lower_bound_constant(k, N) > 0.0
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -93,7 +94,7 @@ class TestLowerBoundConstant:
     def test_grid_convergence(self):
         ref = GAMMA_REF[(2, 3)]
         rep = richardson_order(
-            lambda M: lower_bound_constant(2, 3, M) - ref, (251, 501, 1001, 2001)
+            lambda M: _window_quadrature(2, 3, M) - ref, (251, 501, 1001, 2001)
         )
         assert not rep.saturated and rep.order >= 1.9
 
@@ -103,17 +104,17 @@ class TestLowerBoundConstant:
         s = np.linspace(0.0, 1.0, M)
         for N in range(1, 9):
             for k in range(1, N + 1):
-                # the integrand of lower_bound_constant, term for term
+                # the integrand of _window_quadrature, term for term
                 tau = 0.25 + 0.5 * s**k
                 inner = (tau**N - 0.25**N) / (N * math.comb(N - 1, k - 1))
                 kernel = (k * inner / tau ** (N - k)) ** (1.0 / k)
                 integrand = kernel * 0.5 * k * s ** (k - 1)
                 ref = float(integrate.trapezoid(integrand, s))
-                assert lower_bound_constant(k, N, M) == ref, (k, N)
+                assert _window_quadrature(k, N, M) == ref, (k, N)
 
     def test_linear_case_is_exact(self):
         rep = richardson_order(
-            lambda M: lower_bound_constant(1, 1, M) - 0.125, (251, 501, 1001)
+            lambda M: _window_quadrature(1, 1, M) - 0.125, (251, 501, 1001)
         )
         assert rep.saturated
 

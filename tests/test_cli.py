@@ -570,7 +570,7 @@ class TestExitCodes:
         source = Path(hessball.cli.__file__).read_text().splitlines()
         assert name == "cli.py" and "norm_profile_scan(" in source[int(line) - 1]
 
-        # a config error found mid-run is bad input, not a failed run
+        # a bad solution CSV is bad input, not a failed run
         path = write_config(
             tmp_path,
             "v.json",
@@ -579,6 +579,18 @@ class TestExitCodes:
         )
         out = tmp_path / "verify_out"
         assert main(["run", path, "--out", str(out), "--quiet"]) == 2
+        assert not (out / "report.jsonl").exists()
+
+    def test_interrupted_run_writes_no_report(self, tmp_path, monkeypatch):
+        def interrupted_scan(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(hessball.cli, "norm_profile_scan", interrupted_scan)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            hessball.cli.run_scenario(
+                load_config(uniqueness_config(tmp_path)), out_dir=out, quiet=True
+            )
         assert not (out / "report.jsonl").exists()
 
     def test_uniqueness_needs_sublinear_ratio(self, tmp_path):
@@ -756,7 +768,7 @@ class TestVerifyScenario:
         main(["run", uniqueness_config(tmp_path), "--out", str(out), "--quiet"])
         return out / "solution_1.csv"
 
-    def _verify(self, tmp_path, csv):
+    def _verify(self, tmp_path, csv, quiet=True):
         """Exit code of verifying csv with a config that has no M key."""
         path = write_config(
             tmp_path,
@@ -769,7 +781,8 @@ class TestVerifyScenario:
                 "solution_csv": str(csv),
             },
         )
-        return main(["run", path, "--out", str(tmp_path / "vout"), "--quiet"])
+        flags = ["--quiet"] if quiet else []
+        return main(["run", path, "--out", str(tmp_path / "vout"), *flags])
 
     def _rewritten(self, tmp_path, data):
         csv = tmp_path / "rewritten.csv"
@@ -808,6 +821,25 @@ class TestVerifyScenario:
         assert capsys.readouterr().err == (
             f"config error: solution CSV needs at least {MIN_GRID_POINTS} rows\n"
         )
+        assert not (tmp_path / "vout").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "header-only", "columns", "off-grid"])
+    def test_bad_csv_fails_before_any_output(self, tmp_path, capsys, fault):
+        t = grid_points(101)
+        data = np.column_stack([t, 1.0 - t * t, 1.0 - t * t])
+        if fault == "missing":
+            csv = tmp_path / "missing.csv"
+        elif fault == "header-only":
+            csv = tmp_path / "empty.csv"
+            csv.write_text("t,v_1,v_2\n")
+        elif fault == "columns":
+            csv = self._rewritten(tmp_path, data[:, :2])
+        else:
+            data[50, 0] += 3e-6
+            csv = self._rewritten(tmp_path, data)
+        assert self._verify(tmp_path, csv, quiet=False) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
         assert not (tmp_path / "vout").exists()
 
     def test_corrupted_profile_fails(self, tmp_path):
