@@ -56,7 +56,6 @@ __all__ = [
 
 WINDOW = (0.25, 0.75)
 WINDOW_FRACTION = 0.25
-THRESHOLD_T_POINTS = 64  # t grid of the threshold chains' box extrema
 CONE_TOL = 1e-10  # round-off slack on both cone inequalities
 BOUND_TOL = 1e-8  # slack of the lower and upper operator bound checks
 WINDOW_QUADRATURE_POINTS = 4001  # trapezoid nodes of the window constant
@@ -377,16 +376,6 @@ class ThresholdReport:
     R0_condition: bool | None
 
 
-def _box_sup(f: NonlinearitySpec, t_lo: float, t_hi: float, v_hi: float) -> float:
-    tgrid = np.linspace(t_lo, t_hi, THRESHOLD_T_POINTS)
-    return float(np.max(eval_nonlinearity(f, tgrid, np.full_like(tgrid, v_hi))))
-
-
-def _box_inf(f: NonlinearitySpec, t_lo: float, t_hi: float, v_lo: float) -> float:
-    tgrid = np.linspace(t_lo, t_hi, THRESHOLD_T_POINTS)
-    return float(np.min(eval_nonlinearity(f, tgrid, np.full_like(tgrid, v_lo))))
-
-
 def multiplicity_thresholds(
     spec: SystemSpec,
     r0: float | None = None,
@@ -394,9 +383,11 @@ def multiplicity_thresholds(
 ) -> ThresholdReport:
     """Evaluate the threshold chains for the given anchor radii.
 
-    The forcing family is nondecreasing in v, so box extrema over v sit at
-    the corners; the t dependence is scanned on a THRESHOLD_T_POINTS grid.
-    Either anchor may be omitted; a nonpositive anchor is a domain error.
+    Every term c * t^p * v^q has c, p, q >= 0, so the forcing is
+    nondecreasing in both t and v and each box extremum is one evaluation at
+    a corner: the sup at t = 1 and the top v, the window inf at t = 1/4 and
+    the bottom v.  An overflowing chain entry reads inf.  Either anchor may
+    be omitted; a nonpositive anchor is a domain error.
     """
     if r0 is None and R0 is None:
         raise ValueError("need at least one of r0, R0")
@@ -412,9 +403,9 @@ def multiplicity_thresholds(
     r0_condition = None
     if r0 is not None:
         g = [0.0] * n
-        g[n - 1] = _box_sup(f[n - 1], 0.0, 1.0, r0 / 4.0)
+        g[n - 1] = eval_nonlinearity(f[n - 1], 1.0, r0 / 4.0)
         for i in range(n - 2, -1, -1):
-            g[i] = _box_sup(f[i], 0.0, 1.0, g[i + 1] ** (1.0 / k[i + 1]))
+            g[i] = eval_nonlinearity(f[i], 1.0, g[i + 1] ** (1.0 / k[i + 1]))
         sup_chain = tuple(g)
         r0_condition = bool(r0 > g[0] ** (1.0 / k[0]))
 
@@ -423,15 +414,15 @@ def multiplicity_thresholds(
     R0_condition = None
     if R0 is not None:
         gt = [0.0] * n  # index 0 unused; entries for equations 2..n
-        gt[n - 1] = _box_sup(f[n - 1], 0.0, 1.0, R0)
+        gt[n - 1] = eval_nonlinearity(f[n - 1], 1.0, R0)
         for i in range(n - 2, 0, -1):
-            gt[i] = _box_sup(f[i], 0.0, 1.0, gt[i + 1] ** (1.0 / k[i + 1]))
+            gt[i] = eval_nonlinearity(f[i], 1.0, gt[i + 1] ** (1.0 / k[i + 1]))
         e = [0.0] * n
-        e[n - 1] = _box_inf(f[n - 1], *WINDOW, R0 / 4.0)
+        e[n - 1] = eval_nonlinearity(f[n - 1], WINDOW[0], R0 / 4.0)
         for i in range(n - 2, -1, -1):
             gamma_next = lower_bound_constant(k[i + 1], spec.N)
             v_lo = 0.25 * gamma_next * e[i + 1] ** (1.0 / k[i + 1])
-            e[i] = _box_inf(f[i], *WINDOW, v_lo)
+            e[i] = eval_nonlinearity(f[i], WINDOW[0], v_lo)
         sup_at_R0 = tuple(gt[1:])
         inf_chain = tuple(e)
         gamma_1 = lower_bound_constant(k[0], spec.N)
@@ -503,18 +494,18 @@ def sublinearity_check(
     )
 
 
-def admissibility_check(u: GridFunction, k: int, N: int) -> float:
-    """Minimum elementary-symmetric margin of the Hessian eigenvalues of u.
+def admissibility_check(u: GridFunction, k: int, N: int) -> tuple[float, ...]:
+    """Margins of degrees 1..k: the grid minimum of each sigma_l of u's Hessian.
 
     With (a, b) = (u'', u'/t) the eigenvalue vector is (a, b, ..., b); the
-    l-th symmetric function is C(N-1,l) b^l + C(N-1,l-1) a b^{l-1}.  Returns
-    the minimum over the grid and l = 1..k; u is k-admissible when this is
-    nonnegative up to round-off.  k = N makes the check full convexity.
+    l-th symmetric function is C(N-1,l) b^l + C(N-1,l-1) a b^{l-1}.  Entry
+    l-1 is its minimum over the grid.  u is k-admissible when the first k
+    entries are nonnegative up to round-off and convex when all N are, so
+    one call at k = N answers both.
     """
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
     a, b = hessian_eigenvalues(u)
-    margin = math.inf
-    for l in range(1, k + 1):
-        margin = min(margin, float(np.min(_symmetric_function(a, b, l, N))))
-    return margin
+    return tuple(
+        float(np.min(_symmetric_function(a, b, l, N))) for l in range(1, k + 1)
+    )

@@ -134,13 +134,11 @@ def _apply(spec: SystemSpec, i: int, vals: np.ndarray, plan: QuadratureTable) ->
     C = math.comb(N - 1, k - 1)
     inner = plan.weighted_cumulative(fvals, N - 1) / C
 
+    # inner ~ tau^N, so the ratio extends by 0 at the origin; at N = k the
+    # divisor t**0 is exactly 1.0
     core = np.empty_like(inner)
-    if N == k:
-        core[:] = k * inner
-    else:
-        # inner ~ tau^N, so the ratio extends by 0 at the origin
-        core[0] = 0.0
-        core[1:] = k * inner[1:] / plan.power(N - k)[1:]
+    core[0] = 0.0
+    core[1:] = k * inner[1:] / plan.power(N - k)[1:]
     if (core < NEGATIVE_ROUNDOFF_FLOOR).any():
         raise ValueError("inner integral went negative beyond round-off")
     np.maximum(core, 0.0, out=core)  # what np.clip(core, 0.0, None) calls

@@ -419,6 +419,14 @@ class LambdaProductCheck:
         return self.matches
 
 
+def _check_multipliers(spec: SystemSpec, lam: tuple[float, ...]) -> None:
+    """One positive, finite multiplier per equation, else a ValueError."""
+    if len(lam) != spec.n:
+        raise ValueError("need one multiplier per equation")
+    if any(l <= 0 or not math.isfinite(l) for l in lam):
+        raise ValueError("multipliers must be positive and finite")
+
+
 def lambda_product_check(
     spec: SystemSpec,
     lam: tuple[float, ...],
@@ -432,10 +440,7 @@ def lambda_product_check(
     _power_exponents(spec, "lambda_product_check")
     if unit_ratio_sign(spec.homogeneity_ratio) != 0:
         raise ValueError("multiplier product check requires homogeneity ratio 1")
-    if len(lam) != spec.n:
-        raise ValueError("need one multiplier per equation")
-    if any(l <= 0 or not math.isfinite(l) for l in lam):
-        raise ValueError("multipliers must be positive and finite")
+    _check_multipliers(spec, lam)
     e = lambda_product_exponents(spec)
     product = float(np.prod([l**ej for l, ej in zip(lam, e)]))
     target = eig.lambda0 ** spec.k[0]
@@ -452,10 +457,7 @@ def lambda_product_check(
 def lambda_scaled_system(spec: SystemSpec, lam: tuple[float, ...]) -> SystemSpec:
     """The same power system with constant factor lambda_j on equation j."""
     gamma = _power_exponents(spec, "lambda_scaled_system")
-    if len(lam) != spec.n:
-        raise ValueError("need one multiplier per equation")
-    if any(l <= 0 or not math.isfinite(l) for l in lam):
-        raise ValueError("multipliers must be positive and finite")
+    _check_multipliers(spec, lam)
     return SystemSpec(
         spec.N,
         spec.k,

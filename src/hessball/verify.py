@@ -123,10 +123,13 @@ class VerificationReport:
 
 
 def verify_solution(bundle: SolutionBundle) -> VerificationReport:
-    """Recompute every diagnostic of a bundle from scratch.
+    """Recompute every diagnostic of a bundle from scratch, each once.
 
     The interior residual and the boundary errors are bounded by the
-    calibrated grid law residual_tolerance(M) = max(1e-6, 4000/M^2).
+    calibrated grid law residual_tolerance(M) = max(1e-6, 4000/M^2).  Each
+    profile gets one admissibility_check at degree N: the minimum of its
+    first k_i margins is the admissibility margin and the minimum of all N
+    the convexity margin.
     """
     spec = bundle.spec
     M = bundle.grid_size
@@ -147,13 +150,11 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
         boundary.append(abs(float(slope0)))
         report = cone_check(vi)
         cone_margins.append(report.margin)
-        cone_ok = cone_ok and (
-            report.nonneg_margin >= -CONE_TOL_SCALE * (1.0 + sup_norm(vi))
-            and report.margin >= -CONE_TOL_SCALE * (1.0 + sup_norm(vi))
-        )
-        u = GridFunction(-vals)
-        adm_margins.append(admissibility_check(u, spec.k[i], spec.N))
-        convex_margins.append(admissibility_check(u, spec.N, spec.N))
+        slack = CONE_TOL_SCALE * (1.0 + sup_norm(vi))
+        cone_ok = cone_ok and report.nonneg_margin >= -slack and report.margin >= -slack
+        margins = admissibility_check(GridFunction(-vals), spec.N, spec.N)
+        adm_margins.append(min(margins[: spec.k[i]]))
+        convex_margins.append(min(margins))
 
     passed = (
         all(r <= tol for r in residuals)

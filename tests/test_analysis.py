@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hessball import (
@@ -14,6 +15,7 @@ from hessball import (
     chain_contraction_bound,
     classify_growth,
     cone_check,
+    eval_nonlinearity,
     grid_points,
     lower_bound_check,
     lower_bound_constant,
@@ -275,6 +277,38 @@ class TestClassifyGrowth:
         assert classify_growth(spec).condition != "C4"
 
 
+def scanned_thresholds(spec, r0, R0):
+    """(sup_chain, sup_chain_at_R0, inf_chain) with every box extremum taken
+    over 64 values of t: the reference for the single corner evaluations."""
+
+    def box(f, t_lo, t_hi, v, extremum):
+        tgrid = np.linspace(t_lo, t_hi, 64)
+        return float(extremum(eval_nonlinearity(f, tgrid, np.full_like(tgrid, v))))
+
+    n, k, f = spec.n, spec.k, spec.f
+    g = [0.0] * n
+    g[n - 1] = box(f[n - 1], 0.0, 1.0, r0 / 4.0, np.max)
+    for i in range(n - 2, -1, -1):
+        g[i] = box(f[i], 0.0, 1.0, g[i + 1] ** (1.0 / k[i + 1]), np.max)
+    gt = [0.0] * n
+    gt[n - 1] = box(f[n - 1], 0.0, 1.0, R0, np.max)
+    for i in range(n - 2, 0, -1):
+        gt[i] = box(f[i], 0.0, 1.0, gt[i + 1] ** (1.0 / k[i + 1]), np.max)
+    e = [0.0] * n
+    e[n - 1] = box(f[n - 1], 0.25, 0.75, R0 / 4.0, np.min)
+    for i in range(n - 2, -1, -1):
+        v_lo = 0.25 * lower_bound_constant(k[i + 1], spec.N) * e[i + 1] ** (1.0 / k[i + 1])
+        e[i] = box(f[i], 0.25, 0.75, v_lo, np.min)
+    return tuple(g), tuple(gt[1:]), tuple(e)
+
+
+forcings = st.lists(
+    st.tuples(st.floats(0.01, 10.0), st.floats(0.0, 3.0), st.floats(0.0, 4.0)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: NonlinearitySpec(tuple(terms)))
+
+
 class TestMultiplicityThresholds:
     def _mixed_system(self):
         f1 = NonlinearitySpec(((0.7, 0.0, 1.0), (0.3, 1.0, 2.0)))
@@ -316,6 +350,31 @@ class TestMultiplicityThresholds:
             multiplicity_thresholds(self._mixed_system(), r0=-1.0)
         with pytest.raises(ValueError):
             multiplicity_thresholds(self._mixed_system(), R0=math.inf)
+
+    def test_overflowing_sup_chain_reads_inf(self):
+        f = NonlinearitySpec(((1.0, 1.0, 3.0),))
+        spec = SystemSpec(2, (1, 1), (f, f))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = multiplicity_thresholds(spec, r0=1e120)
+        assert rep.sup_chain == (math.inf, math.inf)
+        assert rep.r0_condition is False
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda N: st.lists(
+                st.tuples(st.integers(1, N), forcings), min_size=2, max_size=3
+            ).map(lambda eqs: SystemSpec(N, *zip(*eqs)))
+        ),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+    )
+    def test_chains_match_a_t_scan(self, spec, r0, R0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = scanned_thresholds(spec, r0, R0)
+            rep = multiplicity_thresholds(spec, r0=r0, R0=R0)
+        assume(all(math.isfinite(x) for chain in expected for x in chain))
+        assert (rep.sup_chain, rep.sup_chain_at_R0, rep.inf_chain) == expected
 
     @given(st.floats(0.01, 10.0), st.floats(1.0, 10.0))
     def test_sup_chain_monotone_in_r0(self, r0, factor):
@@ -366,18 +425,20 @@ class TestAdmissibilityCheck:
     def test_paraboloid_margins(self):
         t = grid_points(101)
         u = GridFunction((t * t - 1.0) / 2.0)
-        # S_l = C(N,l) for every l, so the margin is the smallest binomial
-        assert abs(admissibility_check(u, 1, 2) - 2.0) < 1e-10
-        assert abs(admissibility_check(u, 2, 3) - 3.0) < 1e-10
-        assert abs(admissibility_check(u, 3, 3) - 1.0) < 1e-10
+        # S_l = C(N,l) for every l, so the margin of degree l is C(N,l)
+        assert admissibility_check(u, 1, 2) == pytest.approx((2.0,), rel=0, abs=1e-10)
+        assert admissibility_check(u, 2, 3) == pytest.approx((3.0, 3.0), rel=0, abs=1e-10)
+        assert admissibility_check(u, 3, 3) == pytest.approx(
+            (3.0, 3.0, 1.0), rel=0, abs=1e-10
+        )
 
     def test_zero_profile(self):
-        assert admissibility_check(GridFunction(np.zeros(51)), 2, 3) == 0.0
+        assert admissibility_check(GridFunction(np.zeros(51)), 2, 3) == (0.0, 0.0)
 
     def test_concave_profile_fails(self):
         t = grid_points(101)
         u = GridFunction((1.0 - t * t) / 2.0)
-        assert abs(admissibility_check(u, 1, 2) + 2.0) < 1e-10
+        assert admissibility_check(u, 1, 2) == pytest.approx((-2.0,), rel=0, abs=1e-10)
 
     def test_degree_validation(self):
         t = grid_points(101)

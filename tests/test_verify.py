@@ -19,7 +19,7 @@ from hessball import (
     sup_norm,
     verify_solution,
 )
-from hessball import verify
+from hessball import analysis, operators, verify
 from richardson import richardson_order
 
 
@@ -128,6 +128,22 @@ class TestVerifySolution:
         assert not report.passed
         # slope at the origin shows up as the second boundary entry
         assert report.boundary_errors[1] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_hessian_per_profile_and_equation(self, monkeypatch, n):
+        # ode_residual's radial_hessian and one admissibility_check per profile
+        calls = []
+        original = operators.hessian_eigenvalues
+
+        def counted(u):
+            calls.append(u)
+            return original(u)
+
+        monkeypatch.setattr(operators, "hessian_eigenvalues", counted)
+        monkeypatch.setattr(analysis, "hessian_eigenvalues", counted)
+        spec = PowerSystemSpec(3, (1, 2, 3)[:n], (0.5,) * n)
+        verify_solution(make_bundle(spec, dome(201)))
+        assert len(calls) == 2 * n
 
     def test_tol_override(self, monkeypatch):
         # the gate is the tolerance law at the bundle's own grid size
