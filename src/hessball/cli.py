@@ -8,10 +8,10 @@ Each scenario maps one solvability question to a fixed recipe:
                    solution norms, both polished and verified;
 * uniqueness    -- multi-start agreement, analytic rescaling cross-check,
                    single-bracket scan, and the sublinearity report;
-* nonexistence  -- contraction factor mu, its explicit upper bound, Picard
-                   collapse from several starts, and a bracket-free scan;
-* eigenvalue    -- invariant shape, lambda0 spread over random starts, and
-                   multiplier-product checks;
+* nonexistence  -- contraction factor mu with a bracket below 1, its explicit
+                   upper bound, Picard collapse, and a bracket-free scan;
+* eigenvalue    -- invariant shape, lambda0 in a Collatz-Wielandt bracket,
+                   and multiplier-product checks;
 * bounds        -- window-constant and prefactor tables plus spot checks of
                    the lower/upper operator bounds;
 * verify        -- re-verification of a solution CSV produced earlier.
@@ -500,12 +500,12 @@ def _scenario_nonexistence(run: _Run) -> None:
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     bound = chain_contraction_bound(spec)
+    # an upper end below 1 proves that the discrete map has no cone fixed point
     run.record(
         "contraction",
-        {"mu": eig.mu, "bound": bound, "lambda0": eig.lambda0,
-         "shape_delta": eig.shape_delta},
+        {**_fields(eig, omit=("shape", "solution")), "bound": bound},
         {"tol": cfg.tol},
-        eig.mu < 1.0 and eig.mu <= bound and eig.shape_delta <= cfg.tol,
+        eig.mu_bounds[1] < 1.0 and eig.mu <= bound and eig.shape_delta <= cfg.tol,
     )
 
     collapsed = 0
@@ -528,25 +528,15 @@ def _scenario_eigenvalue(run: _Run) -> None:
             run, "eigenvalue scenario needs a power system with ratio exactly 1"
         )
 
-    # random starts first, so eig.solution is not held while they run
-    values = [normalized_power_iteration(spec, init, tol=cfg.tol).lambda0
-              for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed)]
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
-    values.append(eig.lambda0)
-    spread = (max(values) - min(values)) / min(values)
+    lo, hi = eig.mu_bounds
     run.record(
         "eigenvalue",
-        {
-            "lambda0": eig.lambda0,
-            "mu": eig.mu,
-            "iterations": eig.iterations,
-            "shape_delta": eig.shape_delta,
-            "spread": spread,
-            "starts": cfg.starts + 1,
-        },
-        {"spread_rel": 1e-6, "tol": cfg.tol},
-        spread <= 1e-6 and eig.shape_delta <= cfg.tol,
+        {"lambda0": eig.lambda0, "lambda0_bounds": (1.0 / hi, 1.0 / lo), "mu": eig.mu,
+         "iterations": eig.iterations, "shape_delta": eig.shape_delta},
+        {"bracket_rel": 1e-6, "tol": cfg.tol},
+        hi - lo <= 1e-6 * lo and eig.shape_delta <= cfg.tol,
     )
 
     for lam in cfg.lambdas:

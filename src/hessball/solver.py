@@ -167,12 +167,17 @@ class EigenResult:
 
     shape has unit sup norm; mu = ||A(shape)||; lambda0 = 1/mu is the unique
     multiplier for which v = lambda0 A(v) has a nonzero cone solution when
-    the map is homogeneous of degree 1.  solution is the chain of A(shape),
-    the iteration's last composite; shape_delta is that step's shape change.
+    the map is homogeneous of degree 1.  mu_bounds = (lo, hi) are the
+    extremes of A(shape)_j / shape_j over nodes 0..M-2 (cone profiles are 0
+    at M-1), so lo <= mu <= hi; at degree 1 they bracket the mu of every
+    positive eigenfunction (Collatz 1942, Wielandt 1950).  solution is the
+    chain of A(shape), the iteration's last composite; shape_delta is that
+    step's shape change.
     """
 
     shape: GridFunction
     mu: float
+    mu_bounds: tuple[float, float]
     lambda0: float
     shape_delta: float
     iterations: int
@@ -224,10 +229,11 @@ def normalized_power_iteration(
     """Iterate v <- A(v)/||A(v)|| to the invariant shape.
 
     Normalization strips the scaling degree, so the iteration converges for
-    any homogeneity; the returned mu is meaningful as an eigenvalue
-    reciprocal only in the degree-1 case.  A composite that annihilates
-    the iterate or overflows (mu = 0 or inf) is a ValueError.  Every step
-    shares one quadrature plan, dropped on return.
+    any homogeneity; mu and its bracket mu_bounds, read off the last step's
+    input and image, bound eigenvalues only in the degree-1 case.  A
+    composite that annihilates the iterate or overflows (mu = 0 or inf) is
+    a ValueError; a zero node of shape gives the bracket an inf or nan end.
+    Every step shares one quadrature plan, dropped on return.
     """
     if not cone_check(init).in_cone or sup_norm(init) == 0:
         raise ValueError("initial profile must be a nonzero cone element")
@@ -237,9 +243,12 @@ def normalized_power_iteration(
     )
     if not 0 < mu < math.inf:
         raise ValueError(f"composite map sent the iterate to norm {mu}; system is degenerate")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = chain[0][:-1] / shape[:-1]
     return EigenResult(
         shape=GridFunction(shape),
         mu=mu,
+        mu_bounds=(float(ratio.min()), float(ratio.max())),
         lambda0=1.0 / mu,
         shape_delta=delta,
         iterations=iterations,

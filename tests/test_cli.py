@@ -519,7 +519,7 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, scenario, gamma, kind, steps
     ):
         # after `steps` steps the shape still moves by ~1e-9 to 7e-9 > tol,
-        # while the eigenvalue spread and the rescale distance already pass
+        # while the eigenvalue bracket and the rescale distance already pass
         data = {"scenario": scenario, "N": 2, "k": [1, 1], "gamma": gamma,
                 "M": 301, "points": 16, "starts": 2}
         path = write_config(tmp_path, "p.json", data)
@@ -682,6 +682,41 @@ class TestExitCodes:
         assert row["pass"] is None
         assert row["values"]["matches"] is False
         assert row["values"]["lambda"] == [1.0, 1.0]
+
+    def test_eigenvalue_runs_one_power_iteration(self, tmp_path, monkeypatch):
+        # the bracket certifies start independence, so no extra starts run
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver.normalized_power_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(hessball.cli, "normalized_power_iteration", counted)
+        path = write_config(
+            tmp_path, "e.json",
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "M": 301, "starts": 5},
+        )
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert len(calls) == 1
+
+    def test_wide_eigenvalue_bracket_fails(self, tmp_path):
+        # at tol 1e-3 the last step moves the shape by ~1.4e-4, within tol,
+        # but the bracket is ~4e-4 wide, above its 1e-6 gate
+        path = write_config(
+            tmp_path, "e.json",
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "M": 301, "tol": 1e-3},
+        )
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 4
+        record = next(r for r in read_records(out) if r["kind"] == "eigenvalue")
+        values = record["values"]
+        low, high = values["lambda0_bounds"]
+        assert record["pass"] is False
+        assert values["shape_delta"] <= record["tolerances"]["tol"]
+        assert high - low > record["tolerances"]["bracket_rel"] * low
+        assert low <= values["lambda0"] <= high
 
     def test_failed_sublinearity_fails_uniqueness(self, tmp_path, monkeypatch):
         check = hessball.cli.sublinearity_check
@@ -934,8 +969,8 @@ class TestUnitRatio:
         assert sublinearity_check(spec, shape, 0.5).hypothesis_ok == (side < 0)
         # mu = 1 keeps the rescale finite for every ratio but 1
         eig = EigenResult(
-            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=0,
-            solution=make_bundle(spec, shape),
+            shape=shape, mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
+            iterations=0, solution=make_bundle(spec, shape),
         )
         assert (rescale_to_solution(spec, eig) is None) == (side == 0)
         if side == 0:

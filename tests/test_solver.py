@@ -167,6 +167,44 @@ class TestNormalizedPowerIteration:
         spread = (max(values) - min(values)) / min(values)
         assert spread < 1e-8
 
+    @pytest.mark.parametrize(
+        "N, k, gamma",
+        [(3, (1, 1), (1.0, 1.0)), (2, (2, 2), (2.0, 2.0)), (3, (1, 2), (2.0, 1.0)),
+         (4, (2, 3), (2.0, 3.0))],
+    )
+    def test_bracket_holds_the_mu_of_other_starts(self, N, k, gamma):
+        # Collatz-Wielandt: at ratio 1 the mu of every positive eigenfunction
+        # lies in [lo, hi]; other starts stop within their own tol of theirs
+        spec = PowerSystemSpec(N, k, gamma)
+        t = grid_points(301)
+        lo, hi = normalized_power_iteration(spec, dome(301), tol=1e-12).mu_bounds
+        for start in (2.0 * (1.0 - t), 0.3 * (1.0 - t * t) + 1.7 * (1.0 - t), 1.0 - t**4):
+            mu = normalized_power_iteration(spec, GridFunction(start), tol=1e-12).mu
+            assert lo * (1.0 - 1e-10) <= mu <= hi * (1.0 + 1e-10)
+
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.floats(0.5, 2.0),
+        st.integers(7, 101),
+    )
+    def test_bracket_holds_mu_exactly(self, N, k1, k2, g1, M):
+        # the node where shape is 1 gives a ratio <= mu, and the node where
+        # A(shape) peaks one >= mu, in floating point too
+        k = (min(k1, N), min(k2, N))
+        spec = PowerSystemSpec(N, k, (g1, k[0] * k[1] / g1))
+        eig = normalized_power_iteration(spec, dome(M))
+        lo, hi = eig.mu_bounds
+        assert lo <= eig.mu <= hi
+
+    def test_zero_node_opens_the_bracket(self, monkeypatch):
+        # a cone start that is 0 near t = 1, stopped after its first step
+        monkeypatch.setattr(solver, "POWER_MAX_ITER", 1)
+        t = grid_points(301)
+        eig = normalized_power_iteration(CRITICAL, GridFunction(np.where(t < 0.76, 1.0, 0.0)))
+        assert eig.mu_bounds[1] == math.inf
+
     def test_warm_start_converges_immediately(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(301), tol=1e-12)
         again = normalized_power_iteration(LAPLACE_3D, eig.shape, tol=1e-10)
@@ -228,8 +266,8 @@ class TestRescaleToSolution:
         shape = dome(301)
         expected = make_bundle(SUBLINEAR, shape)
         eig = EigenResult(
-            shape=shape, mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1,
-            solution=expected,
+            shape=shape, mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
+            iterations=1, solution=expected,
         )
         bundle = rescale_to_solution(SUBLINEAR, eig)
         np.testing.assert_array_equal(bundle.v[0].values, expected.v[0].values)
@@ -618,8 +656,8 @@ class TestPurePowerPreconditions:
     # 2 v^0.5 is a power of v, but not exactly v**gamma, so spec.gamma is None
     TWO_ROOT = SystemSpec(2, (1, 1), (NonlinearitySpec(((2.0, 0.0, 0.5),)),) * 2)
     EIG = EigenResult(
-        shape=dome(101), mu=1.0, lambda0=1.0, shape_delta=0.0, iterations=1,
-        solution=make_bundle(CRITICAL, dome(101)),
+        shape=dome(101), mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
+        iterations=1, solution=make_bundle(CRITICAL, dome(101)),
     )
 
     @pytest.mark.parametrize(
