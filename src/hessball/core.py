@@ -14,7 +14,7 @@ with the convention 0**0 = 1 so constant terms survive at t = 0 and v = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -77,7 +77,7 @@ def _values(v: GridFunction | np.ndarray) -> np.ndarray:
 
 def sup_norm(v: GridFunction | np.ndarray) -> float:
     """Max of |v| over the grid."""
-    return float(np.max(np.abs(_values(v))))
+    return float(np.abs(_values(v)).max())
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,10 @@ class NonlinearitySpec:
     """
 
     terms: tuple[tuple[float, float, float], ...]
+    # the terms with c > 0, in order; set once from terms
+    active_terms: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         cleaned = []
@@ -102,10 +106,7 @@ class NonlinearitySpec:
         if not any(c > 0 for c, _, _ in cleaned):
             raise ValueError("at least one term needs a positive coefficient")
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    @property
-    def active_terms(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(term for term in self.terms if term[0] > 0)
+        object.__setattr__(self, "active_terms", tuple(t for t in cleaned if t[0] > 0))
 
     @property
     def vanishes_at_zero(self) -> bool:
@@ -118,9 +119,12 @@ def eval_nonlinearity(f: NonlinearitySpec, t, v):
 
     Negative v samples are a domain error: the family is only defined on
     v >= 0 and fractional exponents would otherwise produce complex values.
-    Scalar inputs give a float back; array inputs broadcast.  A term with
-    p = 0 skips t**0, and the sum starts from the first term rather than
-    from zeros: c * 1.0 = c and 0.0 + x = x for x >= 0, so both are exact.
+    Scalar inputs give a float back; array inputs broadcast.  A term is
+    (c * t**p) * v**gamma, skipping t**0 when p = 0 and the factor c when
+    c = 1, and the sum starts from the first term rather than from zeros:
+    c * 1.0 = c, 1.0 * x = x and 0.0 + x = x for x >= 0, so all are exact.
+    An array result is always a new array, never v itself: v**gamma is
+    computed even at gamma = 1.
     """
     t_arr = np.asarray(t, dtype=float)
     v_arr = np.asarray(v, dtype=float)
@@ -129,9 +133,12 @@ def eval_nonlinearity(f: NonlinearitySpec, t, v):
     out = None
     for c, p, g in f.active_terms:
         if p == 0:
-            term = c * np.power(v_arr, g)
+            term = np.power(v_arr, g)
+            if c != 1.0:
+                term *= c
         else:
-            term = c * np.power(t_arr, p) * np.power(v_arr, g)
+            weight = np.power(t_arr, p)
+            term = (weight if c == 1.0 else c * weight) * np.power(v_arr, g)
         out = term if out is None else out + term
     if t_arr.shape != v_arr.shape:
         shape = np.broadcast_shapes(t_arr.shape, v_arr.shape)

@@ -77,10 +77,18 @@ class QuadratureTable:
         return out
 
     def tail(self, y: np.ndarray) -> np.ndarray:
-        """Trapezoid integral from t_j to 1 for every j; last entry exactly 0."""
+        """Trapezoid integral from t_j to 1 for every j; last entry exactly 0.
+
+        The panel sums h * (y_j + y_{j+1}) / 2 are formed and accumulated in
+        place, in that order of operations.
+        """
         cum = np.empty(self.M)
         cum[0] = 0.0
-        (self.h * (y[1:] + y[:-1]) / 2.0).cumsum(out=cum[1:])
+        panels = cum[1:]
+        np.add(y[1:], y[:-1], out=panels)
+        panels *= self.h
+        panels /= 2.0
+        panels.cumsum(out=panels)
         return cum[-1] - cum
 
     def _panel_weights(self, power: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,12 +117,16 @@ class QuadratureTable:
         O(1) relative factor on the first panels whenever power >= 2 (the
         weight's curvature dominates there), and differentiating the result
         turns that into a residual spike at the origin that never decays
-        with the grid, so the weight must be handled exactly.
+        with the grid, so the weight must be handled exactly.  The panel
+        integrals are formed and accumulated in place in the returned array.
         """
         left, right = self._panel_weights(power)
         out = np.empty(self.M)
         out[0] = 0.0
-        (left * y[:-1] + right * y[1:]).cumsum(out=out[1:])
+        panels = out[1:]
+        np.multiply(left, y[:-1], out=panels)
+        panels += right * y[1:]
+        panels.cumsum(out=panels)
         return out
 
 
@@ -127,21 +139,36 @@ def _checked_input(v: GridFunction | np.ndarray) -> np.ndarray:
 
 
 def _apply(spec: SystemSpec, i: int, vals: np.ndarray, plan: QuadratureTable) -> np.ndarray:
-    """A_i on raw samples already checked by _checked_input, using plan's quadrature."""
+    """A_i on raw samples already checked by _checked_input, using plan's quadrature.
+
+    core = k * (inner / C) / t**(N-k) skips only exact identities: the
+    division by C = C(N-1, k-1) when C = 1, the factor k when k = 1 and the
+    division by t**0 = 1.0 when N = k, so every sample keeps its bits.
+    """
     N = spec.N
     k = spec.k[i - 1]
     fvals = eval_nonlinearity(spec.f[i - 1], plan.t, vals)
+    inner = plan.weighted_cumulative(fvals, N - 1)
     C = math.comb(N - 1, k - 1)
-    inner = plan.weighted_cumulative(fvals, N - 1) / C
+    if C != 1:
+        inner /= C
 
-    # inner ~ tau^N, so the ratio extends by 0 at the origin; at N = k the
-    # divisor t**0 is exactly 1.0
+    # inner ~ tau^N, so the ratio extends by 0 at the origin.  core is a
+    # second array, and at k = 1 the power 1.0 still copies it: with either
+    # array gone, the fine_grid benchmark's heap peak no longer reached
+    # glibc's trim threshold and its peak_rss_mb rose from 45.5 to 48.6 MB
+    # (ROADMAP item 7)
     core = np.empty_like(inner)
     core[0] = 0.0
-    core[1:] = k * inner[1:] / plan.power(N - k)[1:]
+    if k == 1:
+        np.divide(inner[1:], plan.power(N - 1)[1:], out=core[1:])
+    else:
+        np.multiply(k, inner[1:], out=core[1:])
+        if N != k:
+            core[1:] /= plan.power(N - k)[1:]
     if (core < NEGATIVE_ROUNDOFF_FLOOR).any():
         raise ValueError("inner integral went negative beyond round-off")
-    np.maximum(core, 0.0, out=core)  # what np.clip(core, 0.0, None) calls
+    np.maximum(core, 0.0, out=core)
     return plan.tail(core ** (1.0 / k))
 
 

@@ -30,16 +30,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import admissibility_check, cone_check
+from .analysis import _hessian_margins, cone_check
 from .core import (
     GridFunction,
     SolutionBundle,
     SystemSpec,
+    _grid_samples,
     eval_nonlinearity,
     grid_points,
     sup_norm,
 )
-from .operators import radial_hessian
+from .operators import _symmetric_function, hessian_eigenvalues
 
 __all__ = [
     "RESIDUAL_BOUND_CONSTANT",
@@ -76,13 +77,8 @@ def constant_forcing_solution(N: int, k: int, M: int) -> GridFunction:
     return GridFunction(amplitude * (1.0 - t * t) / 2.0)
 
 
-def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarray:
-    """Max interior defect of each equation for the given profiles.
-
-    Equation i couples to profile i+1 cyclically.  Interior means indices
-    2..M-3: the two points nearest each end are excluded so the one-sided
-    stencil closures are judged separately as boundary errors.
-    """
+def _grid_size(spec: SystemSpec, profiles: Sequence[GridFunction]) -> int:
+    """The one grid size of the profiles, checked to have an interior residual."""
     if len(profiles) != spec.n:
         raise ValueError("need one profile per equation")
     M = profiles[0].grid_size
@@ -90,14 +86,36 @@ def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarr
         raise ValueError("profiles must share one grid")
     if M < MIN_GRID_POINTS:
         raise ValueError(f"an interior residual needs {MIN_GRID_POINTS}+ grid points")
+    return M
+
+
+def _max_defects(
+    spec: SystemSpec,
+    profiles: Sequence[GridFunction],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """ode_residual from each profile's Hessian eigenvalue pair (u'', u'/t), u = -v."""
+    M = profiles[0].grid_size
     t = grid_points(M)
     out = np.empty(spec.n)
-    for i in range(spec.n):
-        v_next = profiles[(i + 1) % spec.n]
-        sk = radial_hessian(GridFunction(-profiles[i].values), spec.k[i], spec.N).values
-        fv = eval_nonlinearity(spec.f[i], t, v_next.values)
+    for i, (a, b) in enumerate(pairs):
+        # the k_i-Hessian radial_hessian gives, with its finiteness check
+        sk = _grid_samples(_symmetric_function(a, b, spec.k[i], spec.N))
+        fv = eval_nonlinearity(spec.f[i], t, profiles[(i + 1) % spec.n].values)
         out[i] = float(np.max(np.abs(sk[2 : M - 2] - fv[2 : M - 2])))
     return out
+
+
+def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarray:
+    """Max interior defect of each equation for the given profiles.
+
+    Equation i couples to profile i+1 cyclically.  Interior means indices
+    2..M-3: the two points nearest each end are excluded so the one-sided
+    stencil closures are judged separately as boundary errors.
+    """
+    _grid_size(spec, profiles)
+    pairs = [hessian_eigenvalues(GridFunction(-p.values)) for p in profiles]
+    return _max_defects(spec, profiles, pairs)
 
 
 @dataclass(frozen=True)
@@ -127,16 +145,18 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
 
     The interior residual and the boundary errors are bounded by the
     calibrated grid law residual_tolerance(M) = max(1e-6, 4000/M^2).  Each
-    profile gets one admissibility_check at degree N: the minimum of its
-    first k_i margins is the admissibility margin and the minimum of all N
-    the convexity margin.
+    profile's Hessian eigenvalue pair is computed once and gives both its
+    equation's ode_residual and its admissibility_check margins at degree
+    N: the minimum of the first k_i margins is the admissibility margin and
+    the minimum of all N the convexity margin.
     """
     spec = bundle.spec
-    M = bundle.grid_size
+    M = _grid_size(spec, bundle.v)
     tol = residual_tolerance(M)
     h = 1.0 / (M - 1)
 
-    residuals = tuple(float(x) for x in ode_residual(spec, bundle.v))
+    pairs = [hessian_eigenvalues(GridFunction(-vi.values)) for vi in bundle.v]
+    residuals = tuple(float(x) for x in _max_defects(spec, bundle.v, pairs))
 
     boundary: list[float] = []
     cone_margins: list[float] = []
@@ -152,7 +172,7 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
         cone_margins.append(report.margin)
         slack = CONE_TOL_SCALE * (1.0 + sup_norm(vi))
         cone_ok = cone_ok and report.nonneg_margin >= -slack and report.margin >= -slack
-        margins = admissibility_check(GridFunction(-vals), spec.N, spec.N)
+        margins = _hessian_margins(pairs[i], spec.N, spec.N)
         adm_margins.append(min(margins[: spec.k[i]]))
         convex_margins.append(min(margins))
 

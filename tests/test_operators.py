@@ -280,6 +280,47 @@ def assert_kernel_matches_reference(N, k, f, M):
         np.testing.assert_array_equal(chain[0], w1)
 
 
+def reference_chain(spec, v):
+    """apply_composite's chain (w1, ..., wn) from reference_operator."""
+    chain = [np.asarray(v, dtype=float)]
+    for i in range(spec.n, 0, -1):
+        chain.append(reference_operator(spec, i, chain[-1]))
+    return tuple(reversed(chain[1:]))
+
+
+def assert_chain_matches_reference(spec, v):
+    want = reference_chain(spec, v)
+    got = apply_composite(spec, v)
+    assert len(got) == len(want)
+    for w_got, w_want in zip(got, want):
+        assert np.array_equal(w_got, w_want)
+
+
+# a term (c, p, gamma): zero and unit coefficients, p = 0 or p > 0, gamma = 1
+# or not, so every identity the kernel skips is drawn
+kernel_terms = st.tuples(
+    st.sampled_from([0.0, 1.0, 0.3, 2.5]),
+    st.sampled_from([0.0, 1.0, 0.5, 2.0]),
+    st.sampled_from([1.0, 0.0, 0.5, 2.0]),
+)
+
+
+@st.composite
+def kernel_systems(draw):
+    """A system of 2 or 3 equations on N = 2..5 with k_i in 1..N and one- or
+    two-term forcings that have a positive coefficient."""
+    N = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 3))
+    k = tuple(draw(st.integers(1, N)) for _ in range(n))
+    forcings = []
+    for _ in range(n):
+        terms = draw(st.lists(kernel_terms, min_size=1, max_size=2))
+        if not any(c > 0 for c, _, _ in terms):
+            terms[0] = (1.0,) + terms[0][1:]
+        forcings.append(NonlinearitySpec(tuple(terms)))
+    return SystemSpec(N, k, tuple(forcings))
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("forcing", sorted(KERNEL_FORCINGS))
     @pytest.mark.parametrize("M", [7, 301, 1001, 4001])
@@ -288,8 +329,42 @@ class TestKernelMatchesReference:
             for k in range(1, N + 1):
                 assert_kernel_matches_reference(N, k, KERNEL_FORCINGS[forcing], M)
 
+    @given(kernel_systems(), st.integers(7, 1001), st.floats(0.05, 20.0))
+    def test_chain_bit_identical(self, spec, M, scale):
+        t = grid_points(M)
+        assert_chain_matches_reference(spec, scale * (1.0 - t * t) + (1.0 - t) * t)
+
     def test_fine_grid(self):
         assert_kernel_matches_reference(3, 2, KERNEL_FORCINGS["several"], 64001)
+        # the fine_grid benchmark's system, where k = 1, C = 1, c = 1 and gamma = 1
+        assert_chain_matches_reference(PowerSystemSpec(3, (1, 1), (1.0, 1.0)), dome(64001).values)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PowerSystemSpec(3, (1, 1), (1.0, 1.0)),
+            SystemSpec(
+                3,
+                (1, 2, 3),
+                (
+                    NonlinearitySpec(((0.3, 1.0, 1.0), (1.0, 0.0, 1.0))),
+                    NonlinearitySpec(((1.0, 0.0, 0.5),)),
+                    NonlinearitySpec(((2.5, 0.0, 1.0),)),
+                ),
+            ),
+            SystemSpec(2, (2, 1), (KERNEL_FORCINGS["several"], KERNEL_FORCINGS["constant"])),
+        ],
+        ids=["identity-forcing", "scaled-identities", "sums"],
+    )
+    def test_chain_owns_its_memory(self, spec):
+        v = 2.0 * dome(301).values
+        before = v.copy()
+        chain = apply_composite(spec, v)
+        np.testing.assert_array_equal(v, before)
+        for j, w in enumerate(chain):
+            assert not np.shares_memory(w, v)
+            for other in chain[j + 1 :]:
+                assert not np.shares_memory(w, other)
 
     @pytest.mark.parametrize("wrap", [np.asarray, GridFunction], ids=["ndarray", "grid"])
     def test_negative_input_rejected(self, wrap):
