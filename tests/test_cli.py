@@ -917,13 +917,16 @@ class TestReportOutput:
             out2 / "solution_1.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1, 9001])
+    @pytest.mark.parametrize(
+        "rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS + 1, 9001, 2 * CSV_BLOCK_ROWS + 7,
+                 3 * CSV_BLOCK_ROWS - 5],
+    )
     def test_csv_bytes_match_savetxt(self, tmp_path, rows):
         values = np.array([0.0, 5e-324, 1.0 / 3.0, 1e300])
         data = np.resize(values, (rows, 3))
         data[:, 0] = np.linspace(0.0, 1.0, rows)
         header = "t,v_1,v_2"
-        _write_csv(tmp_path / "fast.csv", header, data)
+        _write_csv(tmp_path / "fast.csv", header, list(data.T))
         np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",",
                    header=header, comments="")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
