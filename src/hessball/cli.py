@@ -470,10 +470,10 @@ def _scenario_uniqueness(run: _Run) -> None:
     run.record(
         "rescale_agreement",
         {"mu": eig.mu, "scale": scale, "rel_distance": rescale_dist,
-         "shape_delta": eig.shape_delta},
+         "shape_delta": eig.shape_delta, "status": eig.status},
         {"rel": 1e-5, "tol": cfg.tol},
         rescale_dist is not None and rescale_dist <= 1e-5
-        and eig.shape_delta <= cfg.tol,
+        and eig.status is IterationStatus.CONVERGED,
     )
 
     profile = _scan(run)
@@ -505,7 +505,8 @@ def _scenario_nonexistence(run: _Run) -> None:
         "contraction",
         {**_fields(eig, omit=("shape", "solution")), "bound": bound},
         {"tol": cfg.tol},
-        eig.mu_bounds[1] < 1.0 and eig.mu <= bound and eig.shape_delta <= cfg.tol,
+        eig.mu_bounds[1] < 1.0 and eig.mu <= bound
+        and eig.status is IterationStatus.CONVERGED,
     )
 
     collapsed = 0
@@ -531,12 +532,16 @@ def _scenario_eigenvalue(run: _Run) -> None:
     init = GridFunction(_default_shape(cfg.M))
     eig = normalized_power_iteration(spec, init, tol=cfg.tol)
     lo, hi = eig.mu_bounds
+    # the two-grid estimate is a finding: only the bracket and status gate
     run.record(
         "eigenvalue",
-        {"lambda0": eig.lambda0, "lambda0_bounds": (1.0 / hi, 1.0 / lo), "mu": eig.mu,
-         "iterations": eig.iterations, "shape_delta": eig.shape_delta},
+        {"lambda0": eig.lambda0, "lambda0_bounds": eig.lambda0_bounds, "mu": eig.mu,
+         "iterations": eig.iterations, "coarse_iterations": eig.coarse_iterations,
+         "coarse_lambda0": eig.coarse_lambda0,
+         "grid_error_estimate": eig.grid_error_estimate,
+         "shape_delta": eig.shape_delta, "status": eig.status},
         {"bracket_rel": 1e-6, "tol": cfg.tol},
-        hi - lo <= 1e-6 * lo and eig.shape_delta <= cfg.tol,
+        hi - lo <= 1e-6 * lo and eig.status is IterationStatus.CONVERGED,
     )
 
     for lam in cfg.lambdas:
@@ -544,7 +549,8 @@ def _scenario_eigenvalue(run: _Run) -> None:
         # whether a row matches is the answer, not a check: a finding
         run.record("lambda_product", {"lambda": lam, **_fields(check)})
 
-    run.solutions.append(eig.solution)
+    if eig.solution is not None:
+        run.solutions.append(eig.solution)
 
 
 def _scenario_bounds(run: _Run) -> None:

@@ -15,6 +15,7 @@ from hessball import solver
 from hessball import (
     EigenResult,
     GridFunction,
+    IterationStatus,
     PowerSystemSpec,
     SystemSpec,
     classify_growth,
@@ -35,6 +36,7 @@ from hessball.cli import (
     main,
     run_scenario,
 )
+from hessball.core import NonFiniteError
 from hessball.verify import MIN_GRID_POINTS
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
@@ -533,6 +535,45 @@ class TestExitCodes:
             assert converged is (code == 0)
             assert record["pass"] is converged
 
+    @pytest.mark.parametrize(
+        "scenario, gamma, kind",
+        [
+            ("eigenvalue", [1, 1], "eigenvalue"),
+            ("nonexistence", [1, 1], "contraction"),
+            ("uniqueness", [0.5, 0.5], "rescale_agreement"),
+        ],
+    )
+    @pytest.mark.parametrize("failure", ["overflow", "annihilated"])
+    def test_degenerate_power_iteration_fails_its_record(
+        self, tmp_path, monkeypatch, scenario, gamma, kind, failure
+    ):
+        # the composite breaks inside the power iteration only
+        power_iteration = solver.normalized_power_iteration
+
+        def broken(spec, v1, **kwargs):
+            if failure == "overflow":
+                raise NonFiniteError("composite overflowed")
+            return tuple(np.zeros(v1.size) for _ in range(spec.n))
+
+        def degenerate(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "apply_composite", broken)
+                return power_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(hessball.cli, "normalized_power_iteration", degenerate)
+        data = {"scenario": scenario, "N": 2, "k": [1, 1], "gamma": gamma,
+                "M": 301, "points": 16, "starts": 2}
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "p.json", data)
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 4
+        records = read_records(out)
+        assert "error" not in [r["kind"] for r in records]
+        record = next(r for r in records if r["kind"] == kind)
+        status = "diverged" if failure == "overflow" else "collapsed_to_zero"
+        assert record["pass"] is False
+        assert record["values"]["status"] == status
+        assert record["values"]["shape_delta"] == "inf"
+
     def test_overflowing_scan_is_no_error(self, tmp_path):
         # gamma = (20, 20) overflows at the top of the default r-range; the
         # scan reads those radii as G = inf and still brackets the root
@@ -699,6 +740,29 @@ class TestExitCodes:
         )
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("M", [301, 16001])
+    def test_eigenvalue_record_carries_the_coarse_stage(self, tmp_path, M):
+        path = write_config(
+            tmp_path, "e.json",
+            {"scenario": "eigenvalue", "N": 2, "k": [1, 1], "gamma": [1, 1],
+             "M": M, "tol": 1e-12},
+        )
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        values = next(r for r in read_records(out) if r["kind"] == "eigenvalue")["values"]
+        assert values["status"] == "converged"
+        low, high = values["lambda0_bounds"]
+        assert low <= values["lambda0"] <= high
+        if M < 16001:
+            assert values["coarse_iterations"] == 0
+            assert values["coarse_lambda0"] is values["grid_error_estimate"] is None
+            return
+        assert values["coarse_iterations"] > 0
+        drift = values["coarse_lambda0"] - values["lambda0"]
+        assert values["grid_error_estimate"] == drift / (16.0**2 - 1.0)
+        # the discretization error at 16001 nodes, relative: about 4e-9
+        assert 1e-9 < values["grid_error_estimate"] / values["lambda0"] < 1e-8
 
     def test_wide_eigenvalue_bracket_fails(self, tmp_path):
         # at tol 1e-3 the last step moves the shape by ~1.4e-4, within tol,
@@ -973,7 +1037,8 @@ class TestUnitRatio:
         # mu = 1 keeps the rescale finite for every ratio but 1
         eig = EigenResult(
             shape=shape, mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
-            iterations=0, solution=make_bundle(spec, shape),
+            iterations=0, coarse_iterations=0, coarse_lambda0=None,
+            status=IterationStatus.CONVERGED, solution=make_bundle(spec, shape),
         )
         assert (rescale_to_solution(spec, eig) is None) == (side == 0)
         if side == 0:

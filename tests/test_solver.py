@@ -218,17 +218,145 @@ class TestNormalizedPowerIteration:
             normalized_power_iteration(LAPLACE_3D, GridFunction(np.zeros(301)))
 
     @pytest.mark.parametrize(
-        "c, mu", [(1e308, "inf"), (1e-300, "0.0")], ids=["overflow", "annihilated"]
+        "c, status",
+        [(1e308, IterationStatus.DIVERGED), (1e-300, IterationStatus.COLLAPSED_TO_ZERO)],
+        ids=["overflow", "annihilated"],
     )
-    def test_degenerate_composite_is_one_value_error(self, c, mu):
+    def test_degenerate_composite_ends_in_a_status(self, c, status):
         # two 1e308 terms overflow their sum; 1e-300 twice underflows to 0
         f = NonlinearitySpec(((c, 0.0, 1.0), (c, 0.0, 1.0)))
         spec = SystemSpec(2, (1, 1), (f, f))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"to norm {mu};") as excinfo:
-                normalized_power_iteration(spec, dome(101))
-        assert not isinstance(excinfo.value, NonFiniteError)
+            eig = normalized_power_iteration(spec, dome(101))
+        assert eig.status is status
+        mu = math.inf if status is IterationStatus.DIVERGED else 0.0
+        assert eig.mu == mu and eig.mu_bounds == (mu, mu)
+        assert eig.lambda0 == (0.0 if mu else math.inf)
+        assert eig.lambda0_bounds == (eig.lambda0, eig.lambda0)
+        assert eig.shape_delta == math.inf
+        assert eig.solution is None
+        # no scale for ratios below and above 1; above, mu = 0 meets a negative power
+        for rho_spec in (SUBLINEAR, PowerSystemSpec(2, (1, 1), (2.0, 2.0))):
+            assert rescale_to_solution(rho_spec, eig) is None
+
+    def test_converged_and_max_iter_statuses(self, monkeypatch):
+        eig = normalized_power_iteration(LAPLACE_3D, dome(301), tol=1e-12)
+        assert eig.status is IterationStatus.CONVERGED and eig.shape_delta <= 1e-12
+        monkeypatch.setattr(solver, "POWER_MAX_ITER", 2)
+        eig = normalized_power_iteration(LAPLACE_3D, dome(301), tol=1e-12)
+        assert eig.status is IterationStatus.MAX_ITER and eig.shape_delta > 1e-12
+        assert eig.solution is not None
+
+
+# the first M at which the power iteration runs its coarse stage
+NESTED_M = solver.COARSE_MIN_REFINEMENT * (solver.COARSE_GRID - 1) + 1
+# first Dirichlet eigenvalue of -Laplace on the unit ball, squared: j^4
+LAMBDA0_REF = {2: 33.44523988202471, 3: math.pi**4, 4: 215.5602619361879}
+
+
+def direct_iteration(spec, init, tol):
+    """The fine stage alone from init, as a run below the threshold does it."""
+    shape = init.values / sup_norm(init)
+    return solver._shape_iteration(
+        spec, 1.0, shape, QuadratureTable(shape.size), tol, solver.POWER_MAX_ITER
+    )
+
+
+def fine_composites(calls, M):
+    return sum(v1.size == M for v1, _ in calls)
+
+
+class TestNestedPowerIteration:
+    """The coarse stage on COARSE_GRID nodes ahead of the fine iteration."""
+
+    def test_nested_agrees_with_direct(self, monkeypatch):
+        assert NESTED_M == 16001
+        calls = record_composites(monkeypatch)
+        nested = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-12)
+        nested_fine = fine_composites(calls, NESTED_M)
+        assert nested_fine == nested.iterations
+        assert len(calls) - nested_fine == nested.coarse_iterations > 0
+        calls.clear()
+        monkeypatch.setattr(solver, "COARSE_MIN_REFINEMENT", 10**9)
+        direct = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-12)
+        assert direct.coarse_iterations == 0 and direct.coarse_lambda0 is None
+        assert fine_composites(calls, NESTED_M) == len(calls) == direct.iterations
+
+        assert nested.status is direct.status is IterationStatus.CONVERGED
+        assert abs(nested.lambda0 - direct.lambda0) <= 1e-10 * direct.lambda0
+        # both brackets hold the discrete eigenvalue, so they intersect
+        (lo_n, hi_n), (lo_d, hi_d) = nested.mu_bounds, direct.mu_bounds
+        assert max(lo_n, lo_d) <= min(hi_n, hi_d)
+        assert nested.iterations <= direct.iterations - 3
+
+    def test_each_stage_builds_its_own_plan(self, monkeypatch, built_plans):
+        calls = record_composites(monkeypatch)
+        eig = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-12)
+        assert built_plans == [solver.COARSE_GRID, NESTED_M]
+        assert eig.shape.grid_size == eig.solution.grid_size == NESTED_M
+        assert_fresh_plan_chains(LAPLACE_3D, calls[-1:], [eig.solution])
+
+    def test_coarse_stage_starts_from_init(self):
+        # init restricted to the coarse grid: a settled shape settles there sooner
+        eig = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-12)
+        again = normalized_power_iteration(LAPLACE_3D, eig.shape, tol=1e-12)
+        assert again.coarse_iterations < eig.coarse_iterations
+
+    def test_prolonged_start_has_unit_norm(self):
+        # a start that peaks between the first two coarse nodes, at a tol
+        # that the first step on each grid meets, so the shape returned is
+        # the prolonged coarse start itself
+        t = grid_points(NESTED_M)
+        values = 1.0 - t * t
+        values[1:16] += 1e-4
+        eig = normalized_power_iteration(LAPLACE_3D, GridFunction(values), tol=0.3)
+        assert eig.iterations == eig.coarse_iterations == 1
+        assert sup_norm(eig.shape) == 1.0
+
+    @pytest.mark.parametrize("M", [401, NESTED_M - 1])
+    def test_below_threshold_is_the_direct_iteration(self, M):
+        init = dome(M)
+        eig = normalized_power_iteration(LAPLACE_3D, init, tol=1e-12)
+        shape, chain, delta, mu, iterations = direct_iteration(LAPLACE_3D, init, 1e-12)
+        np.testing.assert_array_equal(eig.shape.values, shape)
+        for got, want in zip(eig.solution.v, chain):
+            np.testing.assert_array_equal(got.values, want)
+        assert (eig.mu, eig.shape_delta, eig.iterations) == (mu, delta, iterations)
+        assert eig.coarse_iterations == 0
+        assert eig.coarse_lambda0 is None and eig.grid_error_estimate is None
+
+    @pytest.mark.parametrize("failure", ["overflow", "annihilated"])
+    def test_failed_coarse_stage_starts_from_init(self, monkeypatch, failure):
+        calls = record_composites(monkeypatch)
+        apply = solver.apply_composite
+
+        def broken_on_coarse(spec, v1, **kwargs):
+            if v1.size != solver.COARSE_GRID:
+                return apply(spec, v1, **kwargs)
+            if failure == "overflow":
+                raise NonFiniteError("overflow on the coarse grid")
+            return tuple(np.zeros(v1.size) for _ in range(spec.n))
+
+        monkeypatch.setattr(solver, "apply_composite", broken_on_coarse)
+        init = dome(NESTED_M)
+        eig = normalized_power_iteration(LAPLACE_3D, init, tol=1e-12)
+        assert eig.coarse_iterations == 1
+        assert eig.coarse_lambda0 is None and eig.grid_error_estimate is None
+        monkeypatch.undo()
+        shape, chain, delta, mu, iterations = direct_iteration(LAPLACE_3D, init, 1e-12)
+        np.testing.assert_array_equal(eig.shape.values, shape)
+        assert (eig.mu, eig.shape_delta, eig.iterations) == (mu, delta, iterations)
+        assert len(calls) == iterations
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_grid_error_estimate_is_the_true_error(self, N):
+        # Richardson on 1001 and 64001 nodes against the continuum j^4
+        spec = PowerSystemSpec(N, (1, 1), (1.0, 1.0))
+        eig = normalized_power_iteration(spec, dome(64001), tol=1e-12)
+        error = eig.lambda0 - LAMBDA0_REF[N]
+        assert eig.coarse_lambda0 > eig.lambda0 > LAMBDA0_REF[N]
+        assert abs(eig.grid_error_estimate - error) <= 0.05 * error
 
 
 class TestRescaleToSolution:
@@ -267,7 +395,8 @@ class TestRescaleToSolution:
         expected = make_bundle(SUBLINEAR, shape)
         eig = EigenResult(
             shape=shape, mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
-            iterations=1, solution=expected,
+            iterations=1, coarse_iterations=0, coarse_lambda0=None,
+            status=IterationStatus.CONVERGED, solution=expected,
         )
         bundle = rescale_to_solution(SUBLINEAR, eig)
         np.testing.assert_array_equal(bundle.v[0].values, expected.v[0].values)
@@ -657,7 +786,8 @@ class TestPurePowerPreconditions:
     TWO_ROOT = SystemSpec(2, (1, 1), (NonlinearitySpec(((2.0, 0.0, 0.5),)),) * 2)
     EIG = EigenResult(
         shape=dome(101), mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
-        iterations=1, solution=make_bundle(CRITICAL, dome(101)),
+        iterations=1, coarse_iterations=0, coarse_lambda0=None,
+        status=IterationStatus.CONVERGED, solution=make_bundle(CRITICAL, dome(101)),
     )
 
     @pytest.mark.parametrize(
