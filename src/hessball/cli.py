@@ -2,8 +2,10 @@
 
 Each scenario maps one solvability question to a fixed recipe:
 
-* existence     -- classify growth, then solve by Picard (sublinear) or by
-                   norm-profile scan (superlinear) and verify the result;
+* existence     -- classify growth, then solve and verify: a sublinear pure
+                   power by one power iteration and the closed-form rescale
+                   c = mu^{1/(1-rho)}, other sublinear systems by Picard, and
+                   superlinear ones by norm-profile scan;
 * multiplicity  -- threshold chains plus a scan expected to bracket two
                    solution norms, both polished and verified;
 * uniqueness    -- multi-start agreement, analytic rescaling cross-check,
@@ -60,6 +62,7 @@ from .core import (
     unit_ratio_sign,
 )
 from .solver import (
+    EigenResult,
     IterationStatus,
     _default_shape,
     lambda_product_check,
@@ -402,11 +405,37 @@ def _verify_scan(run: _Run, needed: int) -> None:
     run.record("solutions_found", {"count": verified}, passed=verified >= needed)
 
 
+def _power_rescale(cfg: ScenarioConfig) -> tuple[EigenResult, SolutionBundle | None]:
+    """Power iteration from 1 - t^2 at cfg.tol, then the closed-form rescale."""
+    init = GridFunction(_default_shape(cfg.M))
+    eig = normalized_power_iteration(cfg.spec, init, tol=cfg.tol)
+    return eig, rescale_to_solution(cfg.spec, eig)
+
+
 def _scenario_existence(run: _Run) -> None:
     cfg = run.config
     condition = _growth_record(run)
     if condition == "none":
         return _unmet(run, "no growth regime matches")
+
+    if condition == "C1" and cfg.spec.gamma is not None:
+        # A pure power is rho-homogeneous on the grid, so the rescaled shape
+        # c phi is a fixed point whose relative defect is shape_delta: the
+        # stop is scale-free, and no fixed point is too small to reach.
+        eig, bundle = _power_rescale(cfg)
+        passed = eig.status is IterationStatus.CONVERGED and bundle is not None
+        run.record(
+            "power_rescale",
+            {"status": eig.status, "iterations": eig.iterations,
+             "shape_delta": eig.shape_delta, "mu": eig.mu,
+             # ||A(c phi)|| = c^rho mu = c, the sup norm of c phi
+             "c": None if bundle is None else sup_norm(bundle.v[0])},
+            {"tol": cfg.tol},
+            passed,
+        )
+        if passed and _verify(run, bundle, "1"):
+            run.solutions.append(bundle)
+        return
 
     if condition == "C1":
         init = GridFunction(_default_shape(cfg.M))
@@ -460,9 +489,7 @@ def _scenario_uniqueness(run: _Run) -> None:
         spread <= 1e-5,
     )
 
-    init = GridFunction(_default_shape(cfg.M))
-    eig = normalized_power_iteration(spec, init, tol=cfg.tol)
-    rescaled = rescale_to_solution(spec, eig)
+    eig, rescaled = _power_rescale(cfg)
     scale = rescale_dist = None
     if rescaled is not None:
         scale = sup_norm(rescaled.v[0])

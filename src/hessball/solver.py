@@ -9,8 +9,9 @@ Four solution strategies, all built on the composite map A = A_1 ... A_n:
   first settles the shape on a fixed COARSE_GRID-node grid (nested
   iteration, Brandt 1977), and the two grids' lambda0 give Richardson's
   estimate of the fine grid's discretization error;
-* analytic rescaling, which turns (phi, mu) into an exact fixed point for
-  homogeneous systems via c = mu^{1/(1-rho)};
+* analytic rescaling, which turns (phi, mu) into a fixed point of the
+  discrete map for pure powers via c = mu^{1/(1-rho)}; the existence
+  scenario solves sublinear pure powers this way, not by Picard;
 * a norm-profile scan, which measures G(r) = ||A(v_r)|| along shape-converged
   profiles of prescribed norm r and brackets the roots of G(r) - r, covering
   regimes where the fixed point repels plain iteration.
@@ -343,11 +344,15 @@ def normalized_power_iteration(
 
 
 def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | None:
-    """Scale the invariant shape to an exact fixed point; None at ratio 1.
+    """Scale the invariant shape to a fixed point; None at ratio 1.
 
-    Homogeneity gives A(c phi) = c^rho mu phi, so c = mu^{1/(1-rho)} makes
-    c phi a fixed point in the continuum.  At rho = 1 no scale works unless
-    mu = 1 exactly, which is the eigenvalue situation, so None is returned
+    The discrete composite of a pure power is rho-homogeneous on the grid,
+    not only in the continuum: A(c phi) = c^rho A(phi) up to rounding, with
+    A(phi) = mu phi' and phi' the next normalized shape.  So
+    c = mu^{1/(1-rho)} gives A(c phi) = c phi', and the bundle's relative
+    coupling defect max|A(c phi) - c phi| / ||c phi|| is eig.shape_delta,
+    whatever the size of c.  At rho = 1 no scale works unless mu = 1
+    exactly, which is the eigenvalue situation, so None is returned
     whenever unit_ratio_sign(rho) is 0, and when c is not a positive finite
     float (the power over- or underflows, or mu is 0).
     """

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hessball
 from hessball import solver
@@ -40,6 +42,7 @@ from hessball.core import NonFiniteError
 from hessball.verify import MIN_GRID_POINTS
 
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
+C1_TWO_TERMS = [[1.0, 0.0, 0.3], [1.0, 0.0, 0.5]]  # v^0.3 + v^0.5, regime C1
 SCAN_SYSTEM = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [2, 2]}
 
 
@@ -444,7 +447,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "system,expected",
         [
-            ({"N": 2, "k": [1, 1], "gamma": [0.5, 0.5]}, "picard"),
+            ({"N": 2, "k": [1, 1], "terms": [C1_TWO_TERMS] * 2}, "picard"),
+            ({"N": 2, "k": [1, 1], "gamma": [0.5, 0.5]}, "power_rescale"),
             (
                 {"N": 2, "k": [1, 1], "terms": MULT_TERMS, "points": 24,
                  "r_min": 1e-4, "r_max": 1e4},
@@ -452,7 +456,7 @@ class TestExitCodes:
             ),
             ({"N": 3, "k": [1, 1], "gamma": [2, 2], "points": 16}, 1),
         ],
-        ids=["C1-picard", "C3-scan", "C2-scan"],
+        ids=["C1-picard", "C1-power-rescale", "C3-scan", "C2-scan"],
     )
     def test_existence_succeeds(self, tmp_path, system, expected):
         path = write_config(
@@ -464,8 +468,11 @@ class TestExitCodes:
             rec["kind"]: rec
             for rec in map(json.loads, (out / "report.jsonl").read_text().splitlines())
         }
-        if expected == "picard":
-            assert records["picard"]["pass"] is True
+        if isinstance(expected, str):
+            # a pure power is solved by the rescale, any other C1 system by Picard
+            other = {"picard": "power_rescale", "power_rescale": "picard"}[expected]
+            assert records[expected]["pass"] is True
+            assert other not in records
             assert records["verification_1"]["pass"] is True
         else:
             assert records["solutions_found"]["values"]["count"] == expected
@@ -541,6 +548,7 @@ class TestExitCodes:
             ("eigenvalue", [1, 1], "eigenvalue"),
             ("nonexistence", [1, 1], "contraction"),
             ("uniqueness", [0.5, 0.5], "rescale_agreement"),
+            ("existence", [0.5, 0.5], "power_rescale"),
         ],
     )
     @pytest.mark.parametrize("failure", ["overflow", "annihilated"])
@@ -859,6 +867,75 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestPowerRescaleExistence:
+    """Pure-power C1 existence: one power iteration, then c = mu^{1/(1-rho)}."""
+
+    # seed-1 benchmark system whose fixed point (norm 1.7e-14) Picard took
+    # for a collapse to zero
+    SYSTEM_135 = {"scenario": "existence", "N": 3, "k": [1, 2],
+                  "gamma": [1.39391119007645, 1.2288555668292651], "M": 4001}
+
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.floats(0.2, 0.95),
+        st.floats(0.3, 0.7),
+    )
+    def test_rescaled_start_is_a_fixed_point(self, N, k1, k2, ratio, split):
+        # the stop is scale-free: the relative defect of c phi is shape_delta
+        k = (min(k1, N), min(k2, N))
+        product = ratio * k[0] * k[1]
+        spec = PowerSystemSpec(N, k, (product**split, product ** (1.0 - split)))
+        tol = 1e-10
+        eig, bundle = hessball.cli._power_rescale(
+            ScenarioConfig("existence", spec, M=301, tol=tol)
+        )
+        assert eig.status is IterationStatus.CONVERGED and bundle is not None
+        c = eig.mu ** (1.0 / (1.0 - spec.homogeneity_ratio))
+        start = c * eig.shape.values
+        image = solver.apply_composite(spec, start)[0]
+        assert np.array_equal(bundle.v[0].values, image)
+        assert np.max(np.abs(image - start)) <= 1.1 * tol * np.max(np.abs(start))
+
+    def run(self, tmp_path):
+        path = write_config(tmp_path, "x.json", self.SYSTEM_135)
+        out = tmp_path / "out"
+        code = main(["run", path, "--out", str(out), "--quiet"])
+        return code, {r["kind"]: r for r in read_records(out)}, out
+
+    def test_collapsed_config_verifies(self, tmp_path):
+        code, records, out = self.run(tmp_path)
+        assert code == 0
+        record = records["power_rescale"]
+        assert record["pass"] is True and record["values"]["status"] == "converged"
+        assert record["values"]["shape_delta"] <= record["tolerances"]["tol"]
+        assert 0 < record["values"]["c"] < 1e-12
+        assert records["verification_1"]["pass"] is True
+        assert (out / "solution_1.csv").exists()
+
+    def assert_failed_record(self, code, records, out):
+        assert code == 4
+        assert records["power_rescale"]["pass"] is False
+        assert "error" not in records and "verification_1" not in records
+        assert not (out / "solution_1.csv").exists()
+
+    def test_no_rescale_fails_its_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hessball.cli, "rescale_to_solution", lambda spec, eig: None)
+        code, records, out = self.run(tmp_path)
+        self.assert_failed_record(code, records, out)
+        assert records["power_rescale"]["values"]["status"] == "converged"
+        assert records["power_rescale"]["values"]["c"] is None
+
+    def test_unconverged_iteration_fails_its_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "POWER_MAX_ITER", 2)
+        code, records, out = self.run(tmp_path)
+        self.assert_failed_record(code, records, out)
+        values = records["power_rescale"]["values"]
+        assert values["status"] == "max_iter" and values["iterations"] == 2
+        assert values["c"] > 0  # the rescale ran; the status alone fails the record
 
 
 class TestVerifyScenario:
