@@ -6,8 +6,9 @@ Four solution strategies, all built on the composite map A = A_1 ... A_n:
   in sublinear regimes and collapses to zero in the critical one;
 * normalized power iteration, which extracts the invariant shape phi and the
   factor mu = ||A(phi)|| regardless of scaling behaviour; on a large grid it
-  first settles the shape on a fixed COARSE_GRID-node grid (nested
-  iteration, Brandt 1977), and the two grids' lambda0 give Richardson's
+  first settles the shape on two fixed coarse grids (nested iteration,
+  Brandt 1977) and starts the fine grid from their Richardson extrapolation
+  to its spacing, and the COARSE_GRID and fine lambda0 give Richardson's
   estimate of the fine grid's discretization error;
 * analytic rescaling, which turns (phi, mu) into a fixed point of the
   discrete map for pure powers via c = mu^{1/(1-rho)}; the existence
@@ -70,14 +71,14 @@ SCAN_MAX_INNER = 300
 POLISH_MAX_STEPS = 64
 ACCEPT_DEFECT = 1e-8
 LAMBDA_PRODUCT_RTOL = 1e-6
-# The power iteration's coarse stage runs on COARSE_GRID nodes when
-# M - 1 >= COARSE_MIN_REFINEMENT (COARSE_GRID - 1).  Median of 15 calls,
-# N = 3, tol 1e-12, three runs on a 2-vCPU Xeon VM: nested vs direct took
-# 2.3-3.1 vs 2.1-2.7 ms at M = 4001, 3.3-4.2 vs 3.6-4.5 ms at 8001 and
-# 5.4-6.9 vs 6.9-8.5 ms at 16001, so break-even lies between 4001 and 8001
-# and the threshold sits where the gain is clear in every run.
+# The power iteration's coarse stages run on (COARSE_GRID + 1) / 2 and
+# COARSE_GRID nodes when M - 1 >= COARSE_MIN_REFINEMENT (COARSE_GRID - 1).
+# Median of 15 calls, N = 3, tol 1e-12, nine runs on a 2-vCPU Xeon VM
+# (Python 3.11, numpy 2.4): nested vs direct took 2.1-3.4 vs 2.2-3.1 ms at
+# M = 4001, 2.7-4.0 vs 3.7-5.1 ms at 8001 and 3.5-5.3 vs 7.0-8.6 ms at
+# 16001, so nested wins at 8001 in every run and breaks even at 4001.
 COARSE_GRID = 1001
-COARSE_MIN_REFINEMENT = 16
+COARSE_MIN_REFINEMENT = 8
 
 
 class IterationStatus(str, Enum):
@@ -189,8 +190,9 @@ class EigenResult:
     last composite annihilated the iterate (mu = 0) or overflowed
     (mu = inf); those two have mu_bounds (mu, mu), shape_delta inf and no
     solution.  iterations counts composites on the result's grid and
-    coarse_iterations those of the coarse stage (0 where it does not run);
-    coarse_lambda0 is the coarse stage's lambda0, None unless it converged.
+    coarse_iterations those of both coarse stages (0 where they do not
+    run); coarse_lambda0 is the COARSE_GRID stage's lambda0, None unless
+    both stages converged.
     """
 
     shape: GridFunction
@@ -215,9 +217,9 @@ class EigenResult:
         """Richardson's estimate of lambda0's discretization error, or None.
 
         For a second-order discretization lambda0(h) = lambda0 + C h^2, so
-        the coarse and fine values give C h^2 = (coarse_lambda0 - lambda0) /
-        ((h_c/h)^2 - 1) on the fine grid (Roache 1994).  None when the
-        coarse stage did not run or did not converge.
+        the COARSE_GRID and fine values give C h^2 = (coarse_lambda0 -
+        lambda0) / ((h_c/h)^2 - 1) on the fine grid (Roache 1994).  None
+        when the coarse stages did not run or did not converge.
         """
         if self.coarse_lambda0 is None:
             return None
@@ -266,27 +268,79 @@ def _shape_iteration(
     return shape, chain, delta, G, it
 
 
+def _prolong(values: np.ndarray, M: int) -> np.ndarray:
+    """Cubic interpolation of values, on a uniform grid of >= 4 nodes, to M nodes.
+
+    Each fine node t takes the cubic through the four coarse nodes
+    j-1 .. j+2 around the panel [t_j, t_j+1] that holds it (shifted inward
+    at either end), in Newton form: the divided differences of values, taken
+    at the first of those nodes, then three in-place multiply-adds in the
+    local coordinate s = t/h - (j-1).  So it reproduces cubics to rounding
+    and is fourth order on smooth data.
+    """
+    m = values.size
+    s = grid_points(M) * (m - 1)
+    first = np.clip(s.astype(np.intp) - 1, 0, m - 4)
+    s -= first
+    d1 = np.diff(values)
+    d2 = np.diff(d1) / 2.0
+    d3 = np.diff(d2) / 3.0
+    s -= 2.0
+    out = d3[first]
+    out *= s
+    out += d2[first]
+    s += 1.0
+    out *= s
+    out += d1[first]
+    s += 1.0
+    out *= s
+    out += values[first]
+    return out
+
+
+def _cone_start(values: np.ndarray, M: int) -> np.ndarray:
+    """values prolonged to M nodes, clipped at 0 and scaled to unit sup norm."""
+    start = _prolong(values, M)
+    np.maximum(start, 0.0, out=start)
+    start /= sup_norm(start)
+    return start
+
+
 def _coarse_start(
     spec: SystemSpec, shape: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float | None]:
-    """Settle shape on COARSE_GRID nodes, then prolong it to shape's grid.
+    """Settle shape on two coarse grids, then extrapolate it to shape's grid.
 
-    Returns (start, coarse iterations, coarse lambda0).  The start is shape
-    restricted to the coarse grid by linear interpolation, iterated there
-    to tol with its own quadrature plan, interpolated back and scaled to
-    unit sup norm.  A coarse stage that does not converge returns shape
-    itself and None, so the fine stage starts where it would without it.
+    Returns (start, coarse iterations, coarse lambda0).  The shape is
+    iterated to tol on (COARSE_GRID + 1) / 2 nodes, from shape restricted
+    there by linear interpolation, then on COARSE_GRID nodes from that
+    shape prolonged by _cone_start; each stage has its own quadrature plan.
+    The grid error of the shape falls like h^2, so on COARSE_GRID nodes
+    phi_c + (phi_c - P phi_l)(h^2 - h_c^2)/(h_c^2 - h_l^2) predicts the
+    shape on spacing h (Richardson 1911), and _cone_start takes that to
+    shape's grid.  Each prolongation is cubic, clipped at 0 (rounding can
+    leave the node t = 1 just below it) and scaled to unit sup norm, as the
+    composite takes only cone inputs.  The iterations of both stages are
+    counted, and the lambda0 is the COARSE_GRID stage's.  A stage that does
+    not converge returns shape itself and None, so the fine stage starts
+    where it would without them.
     """
-    t, t_coarse = grid_points(shape.size), grid_points(COARSE_GRID)
-    coarse, _, delta, mu, iterations = _shape_iteration(
-        spec, 1.0, np.interp(t_coarse, t, shape), QuadratureTable(COARSE_GRID),
-        tol, POWER_MAX_ITER,
-    )
-    if delta > tol:
-        return shape, iterations, None
-    start = np.interp(t, t_coarse, coarse)
-    start /= sup_norm(start)
-    return start, iterations, 1.0 / mu
+    M, low = shape.size, (COARSE_GRID + 1) // 2
+    start = np.interp(grid_points(low), grid_points(M), shape)
+    total = 0
+    for m in (low, COARSE_GRID):
+        coarse, _, delta, mu, iterations = _shape_iteration(
+            spec, 1.0, start, QuadratureTable(m), tol, POWER_MAX_ITER
+        )
+        total += iterations
+        if delta > tol:
+            return shape, total, None
+        if m == low:
+            start = _cone_start(coarse, COARSE_GRID)
+    # coarse is the COARSE_GRID shape, start the low one prolonged to its grid
+    h2_low, h2_coarse, h2 = ((n - 1.0) ** -2 for n in (low, COARSE_GRID, M))
+    coarse += (coarse - start) * ((h2 - h2_coarse) / (h2_coarse - h2_low))
+    return _cone_start(coarse, M), total, 1.0 / mu
 
 
 def normalized_power_iteration(
@@ -300,10 +354,11 @@ def normalized_power_iteration(
     any homogeneity; mu and its bracket mu_bounds, read off the last step's
     input and image, bound eigenvalues only in the degree-1 case.  On a grid
     with M - 1 >= COARSE_MIN_REFINEMENT (COARSE_GRID - 1) the iteration
-    first runs on COARSE_GRID nodes and finishes on M from the prolonged
-    coarse shape; every reported quantity but the coarse ones comes from the
-    fine stage.  Below that the coarse stage does not run.  A composite that
-    annihilates the iterate or overflows ends in the status
+    first runs on (COARSE_GRID + 1) / 2 and COARSE_GRID nodes and finishes
+    on M from the two coarse shapes' Richardson extrapolation, prolonged
+    (_coarse_start); every reported quantity but the coarse ones comes from
+    the fine stage.  Below that the coarse stages do not run.  A composite
+    that annihilates the iterate or overflows ends in the status
     COLLAPSED_TO_ZERO or DIVERGED, not an exception; a start outside the
     cone, or zero, is a ValueError.  A zero node of shape gives the bracket
     an inf or nan end.  Each stage shares one quadrature plan across its

@@ -34,6 +34,7 @@ from hessball import (
 )
 from hessball import operators, solver
 from hessball.core import NonFiniteError, _values
+from richardson import richardson_order
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
 CRITICAL = PowerSystemSpec(2, (1, 1), (1.0, 1.0))
@@ -249,8 +250,10 @@ class TestNormalizedPowerIteration:
         assert eig.solution is not None
 
 
-# the first M at which the power iteration runs its coarse stage
+# the first M at which the power iteration runs its coarse stages
 NESTED_M = solver.COARSE_MIN_REFINEMENT * (solver.COARSE_GRID - 1) + 1
+# the grid of the first coarse stage, twice the spacing of COARSE_GRID
+LOW_GRID = (solver.COARSE_GRID + 1) // 2
 # first Dirichlet eigenvalue of -Laplace on the unit ball, squared: j^4
 LAMBDA0_REF = {2: 33.44523988202471, 3: math.pi**4, 4: 215.5602619361879}
 
@@ -267,11 +270,67 @@ def fine_composites(calls, M):
     return sum(v1.size == M for v1, _ in calls)
 
 
+def count_composites(monkeypatch):
+    """The grid size of every input to solver.apply_composite, without copies."""
+    sizes = []
+    apply = solver.apply_composite
+
+    def counting(spec, v1, **kwargs):
+        sizes.append(v1.size)
+        return apply(spec, v1, **kwargs)
+
+    monkeypatch.setattr(solver, "apply_composite", counting)
+    return sizes
+
+
+def linear_start_fine_iterations(spec, init, tol):
+    """Composites on init's grid after one coarse stage, linearly interpolated back.
+
+    The start used before the two-stage extrapolation: init restricted to
+    COARSE_GRID nodes, iterated there to tol and interpolated with np.interp.
+    """
+    t, t_coarse = grid_points(init.grid_size), grid_points(solver.COARSE_GRID)
+    coarse, _, delta, _, _ = solver._shape_iteration(
+        spec, 1.0, np.interp(t_coarse, t, init.values),
+        QuadratureTable(solver.COARSE_GRID), tol, solver.POWER_MAX_ITER,
+    )
+    assert delta <= tol
+    _, _, delta, _, iterations = direct_iteration(
+        spec, GridFunction(np.interp(t, t_coarse, coarse)), tol
+    )
+    assert delta <= tol
+    return iterations
+
+
+class TestProlong:
+    """The cubic prolongation that carries coarse shapes to finer grids."""
+
+    @given(
+        st.integers(4, 2001),
+        st.integers(2, 70001),
+        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    )
+    def test_reproduces_cubics(self, m, M, coefs):
+        cubic = np.polynomial.Polynomial(coefs)
+        got = solver._prolong(cubic(grid_points(m)), M)
+        np.testing.assert_allclose(got, cubic(grid_points(M)), rtol=0, atol=1e-13)
+
+    def test_fourth_order(self):
+        fine = grid_points(4001)
+
+        def err(m):
+            coarse = np.cos(0.5 * np.pi * grid_points(m))
+            return np.max(np.abs(solver._prolong(coarse, 4001) - np.cos(0.5 * np.pi * fine)))
+
+        rep = richardson_order(err, (11, 21, 41, 81))
+        assert abs(rep.order - 4.0) < 0.2
+
+
 class TestNestedPowerIteration:
-    """The coarse stage on COARSE_GRID nodes ahead of the fine iteration."""
+    """The two coarse stages ahead of the fine iteration."""
 
     def test_nested_agrees_with_direct(self, monkeypatch):
-        assert NESTED_M == 16001
+        assert NESTED_M == 8001
         calls = record_composites(monkeypatch)
         nested = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-12)
         nested_fine = fine_composites(calls, NESTED_M)
@@ -293,7 +352,7 @@ class TestNestedPowerIteration:
     def test_each_stage_builds_its_own_plan(self, monkeypatch, built_plans):
         calls = record_composites(monkeypatch)
         eig = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-12)
-        assert built_plans == [solver.COARSE_GRID, NESTED_M]
+        assert built_plans == [LOW_GRID, solver.COARSE_GRID, NESTED_M]
         assert eig.shape.grid_size == eig.solution.grid_size == NESTED_M
         assert_fresh_plan_chains(LAPLACE_3D, calls[-1:], [eig.solution])
 
@@ -304,14 +363,14 @@ class TestNestedPowerIteration:
         assert again.coarse_iterations < eig.coarse_iterations
 
     def test_prolonged_start_has_unit_norm(self):
-        # a start that peaks between the first two coarse nodes, at a tol
-        # that the first step on each grid meets, so the shape returned is
-        # the prolonged coarse start itself
+        # a start that peaks between the first two nodes of the first
+        # coarse grid, at a tol that the first step on each grid meets, so
+        # the shape returned is the extrapolated, prolonged start itself
         t = grid_points(NESTED_M)
         values = 1.0 - t * t
         values[1:16] += 1e-4
         eig = normalized_power_iteration(LAPLACE_3D, GridFunction(values), tol=0.3)
-        assert eig.iterations == eig.coarse_iterations == 1
+        assert eig.iterations == 1 and eig.coarse_iterations == 2
         assert sup_norm(eig.shape) == 1.0
 
     @pytest.mark.parametrize("M", [401, NESTED_M - 1])
@@ -326,28 +385,70 @@ class TestNestedPowerIteration:
         assert eig.coarse_iterations == 0
         assert eig.coarse_lambda0 is None and eig.grid_error_estimate is None
 
-    @pytest.mark.parametrize("failure", ["overflow", "annihilated"])
-    def test_failed_coarse_stage_starts_from_init(self, monkeypatch, failure):
+    @pytest.mark.parametrize(
+        "failure, grid",
+        [(failure, grid) for grid in (solver.COARSE_GRID, LOW_GRID)
+         for failure in ("overflow", "annihilated")],
+        ids=["overflow", "annihilated", "overflow-on-low-grid", "annihilated-on-low-grid"],
+    )
+    def test_failed_coarse_stage_starts_from_init(self, monkeypatch, failure, grid):
         calls = record_composites(monkeypatch)
         apply = solver.apply_composite
 
-        def broken_on_coarse(spec, v1, **kwargs):
-            if v1.size != solver.COARSE_GRID:
+        def broken_on_grid(spec, v1, **kwargs):
+            if v1.size != grid:
                 return apply(spec, v1, **kwargs)
             if failure == "overflow":
-                raise NonFiniteError("overflow on the coarse grid")
+                raise NonFiniteError("overflow on a coarse grid")
             return tuple(np.zeros(v1.size) for _ in range(spec.n))
 
-        monkeypatch.setattr(solver, "apply_composite", broken_on_coarse)
+        monkeypatch.setattr(solver, "apply_composite", broken_on_grid)
         init = dome(NESTED_M)
         eig = normalized_power_iteration(LAPLACE_3D, init, tol=1e-12)
-        assert eig.coarse_iterations == 1
+        # the stage ahead of the broken one ran to convergence and counts
+        low_calls = sum(v1.size == LOW_GRID for v1, _ in calls)
+        assert (low_calls > 0) is (grid == solver.COARSE_GRID)
+        assert eig.coarse_iterations == low_calls + 1
         assert eig.coarse_lambda0 is None and eig.grid_error_estimate is None
         monkeypatch.undo()
         shape, chain, delta, mu, iterations = direct_iteration(LAPLACE_3D, init, 1e-12)
         np.testing.assert_array_equal(eig.shape.values, shape)
         assert (eig.mu, eig.shape_delta, eig.iterations) == (mu, delta, iterations)
-        assert len(calls) == iterations
+        assert fine_composites(calls, NESTED_M) == iterations
+        assert len(calls) == low_calls + iterations
+
+    @pytest.mark.parametrize("N", [3, 2, 4])
+    def test_fine_grid_systems_take_two_fine_composites(self, monkeypatch, N):
+        # the benchmark's eigenvalue systems: the extrapolated start leaves
+        # at most two composites on M, and lambda0 stays the direct run's
+        spec, M = PowerSystemSpec(N, (1, 1), (1.0, 1.0)), 64001
+        sizes = count_composites(monkeypatch)
+        nested = normalized_power_iteration(spec, dome(M), tol=1e-12)
+        assert sizes.count(M) == nested.iterations <= 2
+        monkeypatch.setattr(solver, "COARSE_MIN_REFINEMENT", 10**9)
+        direct = normalized_power_iteration(spec, dome(M), tol=1e-12)
+        assert nested.status is direct.status is IterationStatus.CONVERGED
+        assert abs(nested.lambda0 - direct.lambda0) <= 1e-10 * direct.lambda0
+        (lo_n, hi_n), (lo_d, hi_d) = nested.mu_bounds, direct.mu_bounds
+        assert max(lo_n, lo_d) <= min(hi_n, hi_d)
+
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.floats(0.1, 3.0),
+        st.one_of(st.floats(0.2, 0.95), st.just(1.0), st.floats(1.05, 4.0)),
+        st.sampled_from([1e-10, 1e-12]),
+    )
+    def test_never_more_fine_composites_than_the_linear_start(
+        self, N, k1, k2, g1, ratio, tol
+    ):
+        # sublinear (C1), ratio 1 and superlinear pure powers
+        k = (min(k1, N), min(k2, N))
+        spec = PowerSystemSpec(N, k, (g1, ratio * k[0] * k[1] / g1))
+        eig = normalized_power_iteration(spec, dome(16001), tol=tol)
+        assert eig.status is IterationStatus.CONVERGED
+        assert eig.iterations <= linear_start_fine_iterations(spec, dome(16001), tol)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_grid_error_estimate_is_the_true_error(self, N):
