@@ -2,8 +2,10 @@
 
 Four solution strategies, all built on the composite map A = A_1 ... A_n:
 
-* Picard iteration v <- A(v), which converges to the nontrivial fixed point
-  in sublinear regimes and collapses to zero in the critical one;
+* Picard iteration of A, which converges to the nontrivial fixed point in
+  sublinear regimes and collapses to zero in the critical one; each next
+  input is a depth-1 Anderson mix of the last two images, not A(v) itself,
+  but the stop still tests each input's own defect max|A(v) - v|;
 * normalized power iteration, which extracts the invariant shape phi and the
   factor mu = ||A(phi)|| regardless of scaling behaviour; on a large grid it
   first settles the shape on two fixed coarse grids (nested iteration,
@@ -123,19 +125,28 @@ def picard_solve(
     init: GridFunction,
     tol: float = 1e-10,
 ) -> IterationReport:
-    """Fixed-point iteration v <- A(v) from a cone start.
+    """Fixed-point iteration of A from a cone start, with depth-1 Anderson mixing.
 
-    Each step's update max|A(v) - v| is the fixed-point defect of the
-    iterate it started from, and final_delta is the last one.  Stops when
-    the update is below tol relative to 1 + ||A(v)||.  Collapse (norm below
-    1e-10 of the start) is checked before convergence so that a geometric
-    decay to zero is reported as collapse, not as convergence to the
-    trivial fixed point; divergence trips at norm 1e10, and MAX_ITER after
+    Each step applies A to its input v and tests that input's own defect
+    delta = max|A(v) - v|; final_delta is the last one.  Stops when delta is
+    below tol relative to 1 + ||A(v)||.  Collapse (||A(v)|| below 1e-10 of
+    the start) is checked before convergence so that a geometric decay to
+    zero is reported as collapse, not as convergence to the trivial fixed
+    point; divergence trips at norm 1e10, and MAX_ITER after
     PICARD_MAX_ITER steps.  A step whose composite overflows (non-finite
     samples) reads as an infinite norm and delta, so it also ends in
     DIVERGED.  The bundle is the last composite's chain, so its coupling
     defect is final_delta.  Every step shares one quadrature plan, dropped
     on return.
+
+    The next input is not A(v) itself but the depth-1 Anderson (type II)
+    mix of the last two steps (Anderson 1965; Walker & Ni 2011, a secant
+    method): with g = A(v), f = g - v and (g', f') the previous step's,
+    v <- g - gamma (g - g'), gamma = <f - f', f> / ||f - f'||^2 over the
+    grid samples, clipped at 0 so the composite only sees nonnegative
+    input.  The first step, a step with f = f', and a step whose delta rose
+    since the previous one take the plain step v <- g.  The mix only
+    chooses inputs, so an accepted answer meets the same defect bound.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -145,16 +156,17 @@ def picard_solve(
     init_norm = sup_norm(init)
     v = np.asarray(init.values, dtype=float)
     plan = QuadratureTable(v.size)
-    delta = math.inf
+    delta = last_delta = math.inf
+    last_g = last_f = None
     status = IterationStatus.MAX_ITER
     for iterations in range(1, PICARD_MAX_ITER + 1):
         chain = _composite(spec, v, plan)
         if chain is None:
             delta = norm = math.inf
         else:
-            delta = sup_norm(chain[0] - v)
-            v = chain[0]
-            norm = sup_norm(v)
+            g = chain[0]
+            f = g - v
+            delta, norm = sup_norm(f), sup_norm(g)
         if norm < COLLAPSE_RELATIVE * init_norm:
             status = IterationStatus.COLLAPSED_TO_ZERO
         elif norm > DIVERGENCE_NORM:
@@ -162,6 +174,14 @@ def picard_solve(
         elif delta <= tol * (1.0 + norm):
             status = IterationStatus.CONVERGED
         else:
+            v = g
+            if last_f is not None and delta <= last_delta:
+                df = f - last_f
+                dd = float(df @ df)
+                if dd > 0:
+                    v = g - (float(df @ f) / dd) * (g - last_g)
+                    np.maximum(v, 0.0, out=v)
+            last_g, last_f, last_delta = g, f, delta
             continue
         break
 
