@@ -505,12 +505,7 @@ def admissibility_check(u: GridFunction, k: int, N: int) -> tuple[float, ...]:
     """
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    return _hessian_margins(hessian_eigenvalues(u), k, N)
-
-
-def _hessian_margins(pair: tuple[np.ndarray, np.ndarray], k: int, N: int) -> tuple[float, ...]:
-    """admissibility_check's margins from an eigenvalue pair (a, b) already computed."""
-    a, b = pair
+    a, b = hessian_eigenvalues(u)
     return tuple(
         float(np.min(_symmetric_function(a, b, l, N))) for l in range(1, k + 1)
     )

@@ -157,7 +157,7 @@ def _apply(spec: SystemSpec, i: int, vals: np.ndarray, plan: QuadratureTable) ->
     # second array, and at k = 1 the power 1.0 still copies it: with either
     # array gone, the fine_grid benchmark's heap peak no longer reached
     # glibc's trim threshold and its peak_rss_mb rose from 45.5 to 48.6 MB
-    # (ROADMAP item 7)
+    # (ROADMAP item 6)
     core = np.empty_like(inner)
     core[0] = 0.0
     if k == 1:

@@ -71,7 +71,6 @@ POWER_MAX_ITER = 500
 SCAN_INNER_TOL = 1e-10
 SCAN_MAX_INNER = 300
 POLISH_MAX_STEPS = 64
-ACCEPT_DEFECT = 1e-8
 LAMBDA_PRODUCT_RTOL = 1e-6
 # The power iteration's coarse stages run on (COARSE_GRID + 1) / 2 and
 # COARSE_GRID nodes when M - 1 >= COARSE_MIN_REFINEMENT (COARSE_GRID - 1).
@@ -451,11 +450,11 @@ class NormProfile:
     sign_changes holds the neighbouring radii where the sign bit of G(r) - r
     flips (zero counts as non-negative); roots the radius where each
     bracket's polish stopped, and polish_steps the number of radii it
-    evaluated there; solutions its chain of A, or None where the
-    fixed-point defect failed acceptance.  converged marks radii whose inner
-    shape iteration met its tolerance (never where the map annihilates the
-    profile or a composite overflows, where G is inf); roots are accepted by
-    their defect, not by these flags.
+    evaluated there; solutions its chain of A, or None where the polish
+    stopped before its fixed-point defect met SCAN_INNER_TOL r.  converged
+    marks radii whose inner shape iteration met its tolerance (never where
+    the map annihilates the profile or a composite overflows, where G is
+    inf); roots are accepted by their defect, not by these flags.
     """
 
     radii: tuple[float, ...]
@@ -491,7 +490,8 @@ def norm_profile_scan(
     A(v) for v = r shape, so both G(r) and the defect max|A(v) - v|; the
     polish stops once the defect is at most SCAN_INNER_TOL r, the bracket
     cannot be split, or after POLISH_MAX_STEPS points, and that chain is the
-    root's bundle, accepted when the defect is at most ACCEPT_DEFECT (1 + r).
+    root's bundle, accepted only when the first of those stops is the one
+    that ended the polish.
     An overflowing composite reads as G = inf.  Deliberately not
     picard_solve: a root can be repelling, and its profile can sit outside
     the cone (steeply decreasing forcing bends the tail convex), so no march
@@ -541,7 +541,8 @@ def norm_profile_scan(
             shape, chain, _, G, _ = _shape_iteration(spec, r, shape, plan)
             step += 1
             defect = math.inf if chain is None else sup_norm(chain[0] - r * shape)
-            if defect <= SCAN_INNER_TOL * r:
+            accepted = defect <= SCAN_INNER_TOL * r
+            if accepted:
                 break
             end = 0 if np.signbit(G - r) == negative[j] else 1
             x[end] = point
@@ -551,7 +552,6 @@ def norm_profile_scan(
             last_end = end
         roots.append(r)
         steps.append(step)
-        accepted = defect <= ACCEPT_DEFECT * (1.0 + r)
         solutions.append(SolutionBundle(v=chain, spec=spec) if accepted else None)
 
     return NormProfile(

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import _hessian_margins, cone_check
+from .analysis import cone_check
 from .core import (
     GridFunction,
     SolutionBundle,
@@ -92,15 +92,14 @@ def _grid_size(spec: SystemSpec, profiles: Sequence[GridFunction]) -> int:
 def _max_defects(
     spec: SystemSpec,
     profiles: Sequence[GridFunction],
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    hessians: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """ode_residual from each profile's Hessian eigenvalue pair (u'', u'/t), u = -v."""
+    """ode_residual from each equation's k_i-Hessian of u = -v_i on the grid."""
     M = profiles[0].grid_size
     t = grid_points(M)
     out = np.empty(spec.n)
-    for i, (a, b) in enumerate(pairs):
-        # the k_i-Hessian radial_hessian gives, with its finiteness check
-        sk = _grid_samples(_symmetric_function(a, b, spec.k[i], spec.N))
+    for i, sk in enumerate(hessians):
+        sk = _grid_samples(sk)  # radial_hessian's finiteness check
         fv = eval_nonlinearity(spec.f[i], t, profiles[(i + 1) % spec.n].values)
         out[i] = float(np.max(np.abs(sk[2 : M - 2] - fv[2 : M - 2])))
     return out
@@ -114,8 +113,11 @@ def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarr
     stencil closures are judged separately as boundary errors.
     """
     _grid_size(spec, profiles)
-    pairs = [hessian_eigenvalues(GridFunction(-p.values)) for p in profiles]
-    return _max_defects(spec, profiles, pairs)
+    hessians = [
+        _symmetric_function(*hessian_eigenvalues(GridFunction(-p.values)), k, spec.N)
+        for p, k in zip(profiles, spec.k)
+    ]
+    return _max_defects(spec, profiles, hessians)
 
 
 @dataclass(frozen=True)
@@ -145,20 +147,19 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
 
     The interior residual and the boundary errors are bounded by the
     calibrated grid law residual_tolerance(M) = max(1e-6, 4000/M^2).  Each
-    profile's Hessian eigenvalue pair is computed once and gives both its
-    equation's ode_residual and its admissibility_check margins at degree
-    N: the minimum of the first k_i margins is the admissibility margin and
-    the minimum of all N the convexity margin.
+    profile's Hessian eigenvalue pair and its sigma_1..sigma_N are computed
+    once: sigma_{k_i} gives its equation's ode_residual, and the grid minima
+    give admissibility_check's margins at degree N, of which the minimum of
+    the first k_i is the admissibility margin and the minimum of all N the
+    convexity margin.
     """
     spec = bundle.spec
     M = _grid_size(spec, bundle.v)
     tol = residual_tolerance(M)
     h = 1.0 / (M - 1)
 
-    pairs = [hessian_eigenvalues(GridFunction(-vi.values)) for vi in bundle.v]
-    residuals = tuple(float(x) for x in _max_defects(spec, bundle.v, pairs))
-
     boundary: list[float] = []
+    hessians: list[np.ndarray] = []
     cone_margins: list[float] = []
     adm_margins: list[float] = []
     convex_margins: list[float] = []
@@ -172,9 +173,13 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
         cone_margins.append(report.margin)
         slack = CONE_TOL_SCALE * (1.0 + sup_norm(vi))
         cone_ok = cone_ok and report.nonneg_margin >= -slack and report.margin >= -slack
-        margins = _hessian_margins(pairs[i], spec.N, spec.N)
+        a, b = hessian_eigenvalues(GridFunction(-vals))
+        sigmas = [_symmetric_function(a, b, l, spec.N) for l in range(1, spec.N + 1)]
+        hessians.append(sigmas[spec.k[i] - 1])
+        margins = [float(np.min(sigma)) for sigma in sigmas]
         adm_margins.append(min(margins[: spec.k[i]]))
         convex_margins.append(min(margins))
+    residuals = tuple(float(x) for x in _max_defects(spec, bundle.v, hessians))
 
     passed = (
         all(r <= tol for r in residuals)

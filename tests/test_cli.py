@@ -44,6 +44,12 @@ from hessball.verify import MIN_GRID_POINTS
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
 C1_TWO_TERMS = [[1.0, 0.0, 0.3], [1.0, 0.0, 0.5]]  # v^0.3 + v^0.5, regime C1
 SCAN_SYSTEM = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [2, 2]}
+# the ratio-1 systems of acceptance criterion 5
+CRITERION5_SYSTEMS = [
+    {"N": 2, "k": [1, 1], "gamma": [1, 1]},
+    {"N": 2, "k": [2, 2], "gamma": [2, 2]},
+    {"N": 3, "k": [1, 2], "gamma": [2, 1]},
+]
 
 
 def read_records(out):
@@ -419,6 +425,46 @@ class TestExitCodes:
             },
         )
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize("system", CRITERION5_SYSTEMS, ids=["k11", "k22", "N3-k12"])
+    def test_nonexistence_certifies_collapse_without_picard(
+        self, tmp_path, monkeypatch, system
+    ):
+        # The contraction record's bracket end hi < 1 bounds every cone
+        # start's A^n(v) by c hi^n phi, so no Picard restart samples the
+        # collapse.  Three restarts ahead of the scan, recording `collapse`,
+        # fed no other record: without them every other line is the same.
+        data = {"scenario": "nonexistence", **system, "M": 1001, "seed": 3}
+        path = write_config(tmp_path, "n.json", data)
+        scan = hessball.cli._scan
+
+        def restarts_then_scan(run):
+            cfg = run.config
+            collapsed = sum(
+                hessball.picard_solve(cfg.spec, init, tol=1e-12).status
+                is IterationStatus.COLLAPSED_TO_ZERO
+                for init in hessball.cli._random_cone_inits(cfg.M, 3, cfg.seed)
+            )
+            run.record("collapse", {"collapsed": collapsed, "starts": 3},
+                       passed=collapsed == 3)
+            return scan(run)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hessball.cli, "_scan", restarts_then_scan)
+            assert main(["run", path, "--out", str(tmp_path / "ref"), "--quiet"]) == 0
+        reference = (tmp_path / "ref" / "report.jsonl").read_text().splitlines()
+        assert '"collapsed": 3' in reference[2]
+
+        def no_picard(*args, **kwargs):
+            raise RuntimeError("picard_solve called")
+
+        monkeypatch.setattr(hessball.cli, "picard_solve", no_picard)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        lines = (out / "report.jsonl").read_text().splitlines()
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds == ["run_config", "contraction", "norm_profile", "bracket_count"]
+        assert lines == reference[:2] + reference[3:]
 
     def test_gamma_and_terms_spellings_agree(self, tmp_path):
         # v^{1/2} written as a pure power and as one explicit term

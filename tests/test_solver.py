@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessball import (
@@ -580,6 +580,18 @@ class TestNestedPowerIteration:
         (lo_n, hi_n), (lo_d, hi_d) = nested.mu_bounds, direct.mu_bounds
         assert max(lo_n, lo_d) <= min(hi_n, hi_d)
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_cubic_start_saves_a_fine_composite_at_the_default_tol(
+        self, monkeypatch, N
+    ):
+        # the extrapolated shape prolonged by np.interp in _cone_start takes
+        # 2 composites on M for each of these; the cubic prolongation takes 1
+        spec = PowerSystemSpec(N, (1, 1), (1.0, 1.0))
+        sizes = count_composites(monkeypatch)
+        eig = normalized_power_iteration(spec, dome(NESTED_M), tol=1e-10)
+        assert eig.status is IterationStatus.CONVERGED
+        assert sizes.count(NESTED_M) == eig.iterations == 1
+
     @given(
         st.integers(2, 4),
         st.integers(1, 4),
@@ -711,6 +723,20 @@ class TestNormProfileScan:
         assert len(prof.roots) == 1
         assert prof.solutions[0] is not None
 
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_polish_cut_short_is_not_accepted(self, monkeypatch, steps):
+        # the criterion-9 roots need 2 and 5 polish points at M = 301; a root
+        # whose polish runs out of points before its defect test passes is
+        # not accepted, though its defect can be below 1e-8 (1 + r)
+        spec = SystemSpec(2, (1, 1), (MULT_FORCING,) * 2)
+        full = norm_profile_scan(spec, 1e-4, 1e4, 48, grid_size=301)
+        assert full.polish_steps == (2, 5) and all(full.solutions)
+        monkeypatch.setattr(solver, "POLISH_MAX_STEPS", steps)
+        cut = norm_profile_scan(spec, 1e-4, 1e4, 48, grid_size=301)
+        assert cut.polish_steps == tuple(min(n, steps) for n in full.polish_steps)
+        for needed, bundle in zip(full.polish_steps, cut.solutions):
+            assert (bundle is None) == (needed > steps)
+
     def test_overflowing_radii_read_as_infinite(self):
         # G = mu r^400 overflows above r ~ 2: those radii read inf and the
         # one bracket below them polishes to the root of the short range
@@ -768,7 +794,7 @@ def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
                 break
             mid = 0.5 * (lo + hi)
         roots.append(mid)
-        accepted = defect <= solver.ACCEPT_DEFECT * (1.0 + mid)
+        accepted = defect <= solver.SCAN_INNER_TOL * mid
         solutions.append(chain if accepted else None)
     return brackets, tuple(roots), tuple(solutions)
 
@@ -1077,3 +1103,40 @@ class TestCompositeMonotonicity:
         a = apply_composite(spec, GridFunction(lo))[0]
         b = apply_composite(spec, GridFunction(hi))[0]
         assert np.all(a <= b + 1e-12)
+
+
+# the ratio-1 systems of acceptance criterion 5
+CRITERION5_SPECS = [
+    PowerSystemSpec(2, (1, 1), (1.0, 1.0)),
+    PowerSystemSpec(2, (2, 2), (2.0, 2.0)),
+    PowerSystemSpec(3, (1, 2), (2.0, 1.0)),
+]
+
+
+class TestCollapseCertificate:
+    """The bracket end hi < 1 certifies that every cone start collapses.
+
+    The composite is monotone and, at ratio 1, 1-homogeneous on the grid,
+    and A(phi) <= hi phi off t = 1.  So a start v <= c phi, with
+    c = max_{j < M-1} v_j / phi_j, has A^n(v) <= c hi^n phi.
+    """
+
+    @pytest.mark.parametrize("spec", CRITERION5_SPECS, ids=["k11", "k22", "N3-k12"])
+    @settings(max_examples=20)
+    @given(
+        st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4).filter(any),
+        st.floats(-3.0, 3.0),
+    )
+    def test_plain_composites_fall_below_the_bound(self, spec, coeffs, log_scale):
+        M = 1001
+        eig = normalized_power_iteration(spec, dome(M), tol=1e-10)
+        hi = eig.mu_bounds[1]
+        assert eig.status is IterationStatus.CONVERGED and hi < 1.0
+        t = grid_points(M)
+        basis = (1.0 - t * t, 1.0 - t, 1.0 - t**4, np.sqrt(1.0 - t))
+        v = 10.0**log_scale * sum(a * b for a, b in zip(coeffs, basis))
+        phi = eig.shape.values
+        c = float(np.max(v[:-1] / phi[:-1]))
+        for n in range(1, 11):
+            v = apply_composite(spec, v)[0]
+            assert sup_norm(v) <= c * hi**n * (1.0 + 1e-9)

@@ -131,20 +131,22 @@ class TestVerifySolution:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_hessian_per_profile_and_equation(self, monkeypatch, n):
-        # one eigenvalue pair per profile gives its residual and its margins
-        calls = []
-        original = operators.hessian_eigenvalues
+        # one eigenvalue pair per profile, and one sigma_l per degree l <= N,
+        # give its residual and its margins
+        calls = {"hessian_eigenvalues": 0, "_symmetric_function": 0}
+        for name in calls:
+            original = getattr(operators, name)
 
-        def counted(u):
-            calls.append(u)
-            return original(u)
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(operators, "hessian_eigenvalues", counted)
-        monkeypatch.setattr(analysis, "hessian_eigenvalues", counted)
-        monkeypatch.setattr(verify, "hessian_eigenvalues", counted)
+            for module in (operators, analysis, verify):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         spec = PowerSystemSpec(3, (1, 2, 3)[:n], (0.5,) * n)
         verify_solution(make_bundle(spec, dome(201)))
-        assert len(calls) == n
+        assert calls == {"hessian_eigenvalues": n, "_symmetric_function": n * 3}
 
     def test_tol_override(self, monkeypatch):
         # the gate is the tolerance law at the bundle's own grid size
