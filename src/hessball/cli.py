@@ -8,8 +8,9 @@ Each scenario maps one solvability question to a fixed recipe:
                    superlinear ones by norm-profile scan;
 * multiplicity  -- threshold chains plus a scan expected to bracket two
                    solution norms, both polished and verified;
-* uniqueness    -- multi-start agreement, analytic rescaling cross-check,
-                   single-bracket scan, and the sublinearity report;
+* uniqueness    -- the power iteration and rescale from 1 - t^2 and from
+                   random starts, which must agree, a single-bracket scan,
+                   and the sublinearity report;
 * nonexistence  -- contraction factor mu with a Collatz-Wielandt bracket
                    below 1, which proves that every cone start collapses,
                    its explicit upper bound, and a bracket-free scan;
@@ -343,7 +344,10 @@ def _random_cone_inits(M: int, count: int, seed: int) -> list[GridFunction]:
     return out
 
 
-def _rel_sup_distance(x: GridFunction, y: GridFunction) -> float:
+def _rel_sup_distance(x: GridFunction | None, y: GridFunction | None) -> float:
+    """max|x - y| over the larger sup norm; inf if either profile is missing."""
+    if x is None or y is None:
+        return math.inf
     denom = max(sup_norm(x), sup_norm(y), 1e-300)
     return float(np.max(np.abs(x.values - y.values))) / denom
 
@@ -406,11 +410,35 @@ def _verify_scan(run: _Run, needed: int) -> None:
     run.record("solutions_found", {"count": verified}, passed=verified >= needed)
 
 
-def _power_rescale(cfg: ScenarioConfig) -> tuple[EigenResult, SolutionBundle | None]:
-    """Power iteration from 1 - t^2 at cfg.tol, then the closed-form rescale."""
-    init = GridFunction(_default_shape(cfg.M))
+def _power_rescale(
+    cfg: ScenarioConfig, init: GridFunction | None = None
+) -> tuple[EigenResult, SolutionBundle | None]:
+    """Power iteration at cfg.tol from init (default 1 - t^2), then the
+    closed-form rescale c = mu^{1/(1-rho)}, whose bundle is None at ratio 1."""
+    init = GridFunction(_default_shape(cfg.M)) if init is None else init
     eig = normalized_power_iteration(cfg.spec, init, tol=cfg.tol)
     return eig, rescale_to_solution(cfg.spec, eig)
+
+
+def _solve_by_rescale(run: _Run) -> SolutionBundle | None:
+    """Record `power_rescale` from 1 - t^2; its bundle if the record passed.
+
+    A pure power is rho-homogeneous on the grid, so c phi is a fixed point
+    whose relative defect is shape_delta: no fixed point is too small.
+    """
+    cfg = run.config
+    eig, bundle = _power_rescale(cfg)
+    passed = eig.status is IterationStatus.CONVERGED and bundle is not None
+    run.record(
+        "power_rescale",
+        {"status": eig.status, "iterations": eig.iterations,
+         "shape_delta": eig.shape_delta, "mu": eig.mu,
+         # ||A(c phi)|| = c^rho mu = c, the sup norm of c phi
+         "c": None if bundle is None else sup_norm(bundle.v[0])},
+        {"tol": cfg.tol},
+        passed,
+    )
+    return bundle if passed else None
 
 
 def _scenario_existence(run: _Run) -> None:
@@ -420,21 +448,8 @@ def _scenario_existence(run: _Run) -> None:
         return _unmet(run, "no growth regime matches")
 
     if condition == "C1" and cfg.spec.gamma is not None:
-        # A pure power is rho-homogeneous on the grid, so the rescaled shape
-        # c phi is a fixed point whose relative defect is shape_delta: the
-        # stop is scale-free, and no fixed point is too small to reach.
-        eig, bundle = _power_rescale(cfg)
-        passed = eig.status is IterationStatus.CONVERGED and bundle is not None
-        run.record(
-            "power_rescale",
-            {"status": eig.status, "iterations": eig.iterations,
-             "shape_delta": eig.shape_delta, "mu": eig.mu,
-             # ||A(c phi)|| = c^rho mu = c, the sup norm of c phi
-             "c": None if bundle is None else sup_norm(bundle.v[0])},
-            {"tol": cfg.tol},
-            passed,
-        )
-        if passed and _verify(run, bundle, "1"):
+        bundle = _solve_by_rescale(run)
+        if bundle is not None and _verify(run, bundle, "1"):
             run.solutions.append(bundle)
         return
 
@@ -472,16 +487,17 @@ def _scenario_uniqueness(run: _Run) -> None:
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) >= 0:
         return _unmet(run, "uniqueness needs a power system with ratio below 1")
 
-    solutions = []
+    bundle = _solve_by_rescale(run)
+    if bundle is None:
+        return
+
+    # every fixed point is c phi for an invariant shape phi, so every start
+    # must rescale to one profile; a start that fails is at distance inf
+    limits = [bundle.v[0]]
     for init in _random_cone_inits(cfg.M, cfg.starts, cfg.seed):
-        report = picard_solve(spec, init, tol=cfg.tol)
-        if report.status is not IterationStatus.CONVERGED:
-            run.record(
-                "picard", {"status": report.status}, {"tol": cfg.tol}, False
-            )
-            return
-        solutions.append(report.solution)
-    limits = [bundle.v[0] for bundle in solutions]
+        eig, other = _power_rescale(cfg, init)
+        converged = eig.status is IterationStatus.CONVERGED and other is not None
+        limits.append(other.v[0] if converged else None)
     spread = max(_rel_sup_distance(a, b) for a in limits for b in limits)
     run.record(
         "multi_start_agreement",
@@ -490,33 +506,18 @@ def _scenario_uniqueness(run: _Run) -> None:
         spread <= 1e-5,
     )
 
-    eig, rescaled = _power_rescale(cfg)
-    scale = rescale_dist = None
-    if rescaled is not None:
-        scale = sup_norm(rescaled.v[0])
-        rescale_dist = _rel_sup_distance(rescaled.v[0], limits[0])
-    run.record(
-        "rescale_agreement",
-        {"mu": eig.mu, "scale": scale, "rel_distance": rescale_dist,
-         "shape_delta": eig.shape_delta, "status": eig.status},
-        {"rel": 1e-5, "tol": cfg.tol},
-        rescale_dist is not None and rescale_dist <= 1e-5
-        and eig.status is IterationStatus.CONVERGED,
-    )
-
-    profile = _scan(run)
-    count = len(profile.sign_changes)
+    count = len(_scan(run).sign_changes)
     run.record("bracket_count", {"count": count}, {"expected": 1}, count == 1)
 
-    sub = sublinearity_check(spec, limits[0], DOWNSCALE_XI)
+    sub = sublinearity_check(spec, bundle.v[0], DOWNSCALE_XI)
     run.record(
         "sublinearity",
         _fields(sub, omit=("hypothesis_ok",)),
         passed=sub.hypothesis_ok and sub.ratio_min > 0 and sub.gain > 0,
     )
 
-    if _verify(run, solutions[0], "1"):
-        run.solutions.append(solutions[0])
+    if _verify(run, bundle, "1"):
+        run.solutions.append(bundle)
 
 
 def _scenario_nonexistence(run: _Run) -> None:
@@ -525,8 +526,7 @@ def _scenario_nonexistence(run: _Run) -> None:
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
         return _unmet(run, "nonexistence needs a power system with ratio exactly 1")
 
-    init = GridFunction(_default_shape(cfg.M))
-    eig = normalized_power_iteration(spec, init, tol=cfg.tol)
+    eig, _ = _power_rescale(cfg)  # ratio 1: no rescale
     bound = chain_contraction_bound(spec)
     # The composite is monotone and 1-homogeneous, so A(phi) <= hi phi off
     # t = 1 gives A^n(v) <= c hi^n phi for every cone start v <= c phi: an
@@ -540,8 +540,7 @@ def _scenario_nonexistence(run: _Run) -> None:
         and eig.status is IterationStatus.CONVERGED,
     )
 
-    profile = _scan(run)
-    count = len(profile.sign_changes)
+    count = len(_scan(run).sign_changes)
     run.record("bracket_count", {"count": count}, {"expected": 0}, count == 0)
 
 
@@ -553,8 +552,7 @@ def _scenario_eigenvalue(run: _Run) -> None:
             run, "eigenvalue scenario needs a power system with ratio exactly 1"
         )
 
-    init = GridFunction(_default_shape(cfg.M))
-    eig = normalized_power_iteration(spec, init, tol=cfg.tol)
+    eig, _ = _power_rescale(cfg)  # ratio 1: no rescale
     lo, hi = eig.mu_bounds
     # the two-grid estimate is a finding: only the bracket and status gate
     run.record(

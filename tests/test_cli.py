@@ -555,26 +555,26 @@ class TestExitCodes:
         path = uniqueness_config(tmp_path)
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 4
         report = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
-        record = next(
-            r for r in map(json.loads, report) if r["kind"] == "rescale_agreement"
-        )
+        records = [json.loads(line) for line in report]
+        record = next(r for r in records if r["kind"] == "power_rescale")
         assert record["pass"] is False
-        assert record["values"]["scale"] is None
-        assert record["values"]["rel_distance"] is None
+        assert record["values"]["c"] is None
+        # with no solution to compare against, the run ends at this record
+        assert records[-1] is record
 
     @pytest.mark.parametrize(
         "scenario, gamma, kind, steps",
         [
             ("eigenvalue", [1, 1], "eigenvalue", 6),
             ("nonexistence", [1, 1], "contraction", 6),
-            ("uniqueness", [0.5, 0.5], "rescale_agreement", 5),
+            ("uniqueness", [0.5, 0.5], "power_rescale", 5),
         ],
     )
     def test_unconverged_power_iteration_fails(
         self, tmp_path, monkeypatch, scenario, gamma, kind, steps
     ):
         # after `steps` steps the shape still moves by ~1e-9 to 7e-9 > tol,
-        # while the eigenvalue bracket and the rescale distance already pass
+        # while the eigenvalue bracket already passes
         data = {"scenario": scenario, "N": 2, "k": [1, 1], "gamma": gamma,
                 "M": 301, "points": 16, "starts": 2}
         path = write_config(tmp_path, "p.json", data)
@@ -593,7 +593,7 @@ class TestExitCodes:
         [
             ("eigenvalue", [1, 1], "eigenvalue"),
             ("nonexistence", [1, 1], "contraction"),
-            ("uniqueness", [0.5, 0.5], "rescale_agreement"),
+            ("uniqueness", [0.5, 0.5], "power_rescale"),
             ("existence", [0.5, 0.5], "power_rescale"),
         ],
     )
@@ -656,7 +656,7 @@ class TestExitCodes:
         records = [json.loads(line) for line in lines]
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "run_config"
-        assert "rescale_agreement" in kinds  # the records made before the scan
+        assert "power_rescale" in kinds  # the records made before the scan
         error = records[-1]
         assert error["kind"] == "error" and error["pass"] is False
         assert error["values"]["type"] == "RuntimeError"
@@ -982,6 +982,77 @@ class TestPowerRescaleExistence:
         values = records["power_rescale"]["values"]
         assert values["status"] == "max_iter" and values["iterations"] == 2
         assert values["c"] > 0  # the rescale ran; the status alone fails the record
+
+
+class TestUniquenessByRescale:
+    """Uniqueness solves from 1 - t^2 and from each random start by the
+    power iteration and the rescale; every start must reach one profile."""
+
+    KINDS = ["run_config", "power_rescale", "multi_start_agreement", "norm_profile",
+             "bracket_count", "sublinearity", "verification_1"]
+    # the seed-1 system whose Picard start read its fixed point, of norm
+    # 1.7e-14, as a collapse to zero
+    TINY = {"scenario": "uniqueness", "N": 3, "k": [1, 2],
+            "gamma": [1.39391119007645, 1.2288555668292651], "M": 1001, "seed": 1}
+
+    def run(self, tmp_path, data):
+        path = write_config(tmp_path, "u.json", data)
+        out = tmp_path / "out"
+        return main(["run", path, "--out", str(out), "--quiet"]), read_records(out)
+
+    def test_tiny_fixed_point_is_the_scan_root(self, tmp_path):
+        code, records = self.run(tmp_path, {**self.TINY, "r_min": 1e-16, "r_max": 1})
+        assert code == 0
+        assert [r["kind"] for r in records] == self.KINDS
+        by_kind = {r["kind"]: r for r in records}
+        c = by_kind["power_rescale"]["values"]["c"]
+        (root,) = by_kind["norm_profile"]["values"]["roots"]
+        assert 0 < c < 1e-12
+        assert abs(c - root) <= 1e-9 * root
+
+    def test_tiny_fixed_point_outside_the_scan_range(self, tmp_path):
+        # the default range [1e-3, 1e3] cannot bracket a root at 1.7e-14
+        code, records = self.run(tmp_path, self.TINY)
+        assert code == 4
+        failed = [r["kind"] for r in records if r["pass"] is False]
+        assert failed == ["bracket_count"]
+        assert "picard" not in [r["kind"] for r in records]
+
+    def test_runs_no_picard_iteration(self, tmp_path, monkeypatch):
+        def no_picard(*args, **kwargs):
+            raise RuntimeError("picard_solve called")
+
+        calls = []
+        power_iteration = hessball.cli.normalized_power_iteration
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return power_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(hessball.cli, "picard_solve", no_picard)
+        monkeypatch.setattr(hessball.cli, "normalized_power_iteration", counted)
+        out = tmp_path / "out"
+        assert main(["run", uniqueness_config(tmp_path), "--out", str(out), "--quiet"]) == 0
+        records = read_records(out)
+        assert [r["kind"] for r in records] == self.KINDS
+        agreement = records[2]["values"]
+        assert agreement["starts"] == 3 and agreement["max_rel_distance"] <= 1e-5
+        assert len(calls) == 3 + 1  # the 1 - t^2 start and each random start
+
+    def test_start_without_a_rescale_fails_agreement(self, tmp_path, monkeypatch):
+        rescale = hessball.cli.rescale_to_solution
+        calls = []
+
+        def first_only(spec, eig):
+            calls.append(eig)
+            return rescale(spec, eig) if len(calls) == 1 else None
+
+        monkeypatch.setattr(hessball.cli, "rescale_to_solution", first_only)
+        out = tmp_path / "out"
+        assert main(["run", uniqueness_config(tmp_path), "--out", str(out), "--quiet"]) == 4
+        failed = [r for r in read_records(out) if r["pass"] is False]
+        assert [r["kind"] for r in failed] == ["multi_start_agreement"]
+        assert failed[0]["values"]["max_rel_distance"] == "inf"
 
 
 class TestVerifyScenario:
