@@ -1,13 +1,18 @@
 """Fixed-point machinery for the cyclic integral operator.
 
-Four solution strategies, all built on the composite map A = A_1 ... A_n:
+Four solution strategies, all built on the composite map A = A_1 ... A_n.
+Every fixed-point loop picks its next input by one depth-1 Anderson mix of
+its last two images (_mix), not the image itself, and every stop still
+tests the defect of the input whose image was taken:
 
 * Picard iteration of A, which converges to the nontrivial fixed point in
-  sublinear regimes and collapses to zero in the critical one; each next
-  input is a depth-1 Anderson mix of the last two images, not A(v) itself,
-  but the stop still tests each input's own defect max|A(v) - v|;
+  sublinear regimes and collapses to zero in the critical one; it stops on
+  each input's own defect max|A(v) - v|;
 * normalized power iteration, which extracts the invariant shape phi and the
-  factor mu = ||A(phi)|| regardless of scaling behaviour; on a large grid it
+  factor mu = ||A(phi)|| regardless of scaling behaviour; its shape
+  iteration, shared with the scan, mixes the normalized images and rescales
+  the mix to unit sup norm, and mu, its Collatz-Wielandt bracket and the
+  shape change all belong to the returned shape; on a large grid it
   first settles the shape on two fixed coarse grids (nested iteration,
   Brandt 1977) and starts the fine grid from their Richardson extrapolation
   to its spacing, and the COARSE_GRID and fine lambda0 give Richardson's
@@ -119,6 +124,36 @@ def _composite(
             return None
 
 
+def _mix(
+    g: np.ndarray,
+    f: np.ndarray,
+    last_g: np.ndarray | None,
+    last_f: np.ndarray | None,
+    delta: float,
+    last_delta: float,
+) -> np.ndarray:
+    """The next input of a fixed-point loop: a depth-1 Anderson mix of two steps.
+
+    g is the image of the current input and f = g - input its defect,
+    delta = ||f||; last_g, last_f and last_delta are the previous step's
+    (None, None and anything on the first step).  Returns the type II mix
+    (Anderson 1965; Walker & Ni 2011, a secant method) g - gamma (g - g'),
+    gamma = <f - f', f> / ||f - f'||^2 over the grid samples, clipped at 0
+    so that the composite only sees nonnegative input; a new array.  The
+    first step, a step with f = f' and a step whose delta rose since the
+    previous one get g itself, the plain step.
+    """
+    if last_f is None or not delta <= last_delta:
+        return g
+    df = f - last_f
+    dd = float(df @ df)
+    if not dd > 0:
+        return g
+    v = g - (float(df @ f) / dd) * (g - last_g)
+    np.maximum(v, 0.0, out=v)
+    return v
+
+
 def picard_solve(
     spec: SystemSpec,
     init: GridFunction,
@@ -138,14 +173,9 @@ def picard_solve(
     defect is final_delta.  Every step shares one quadrature plan, dropped
     on return.
 
-    The next input is not A(v) itself but the depth-1 Anderson (type II)
-    mix of the last two steps (Anderson 1965; Walker & Ni 2011, a secant
-    method): with g = A(v), f = g - v and (g', f') the previous step's,
-    v <- g - gamma (g - g'), gamma = <f - f', f> / ||f - f'||^2 over the
-    grid samples, clipped at 0 so the composite only sees nonnegative
-    input.  The first step, a step with f = f', and a step whose delta rose
-    since the previous one take the plain step v <- g.  The mix only
-    chooses inputs, so an accepted answer meets the same defect bound.
+    The next input is not A(v) itself but _mix's depth-1 Anderson mix of
+    the last two steps, with g = A(v) and f = g - v.  The mix only chooses
+    inputs, so an accepted answer meets the same defect bound.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -173,13 +203,7 @@ def picard_solve(
         elif delta <= tol * (1.0 + norm):
             status = IterationStatus.CONVERGED
         else:
-            v = g
-            if last_f is not None and delta <= last_delta:
-                df = f - last_f
-                dd = float(df @ df)
-                if dd > 0:
-                    v = g - (float(df @ f) / dd) * (g - last_g)
-                    np.maximum(v, 0.0, out=v)
+            v = _mix(g, f, last_g, last_f, delta, last_delta)
             last_g, last_f, last_delta = g, f, delta
             continue
         break
@@ -204,14 +228,14 @@ class EigenResult:
     at M-1), so lo <= mu <= hi; at degree 1 they bracket the mu of every
     positive eigenfunction (Collatz 1942, Wielandt 1950).  solution is the
     chain of A(shape), the iteration's last composite; shape_delta is that
-    step's shape change.  status is CONVERGED when shape_delta <= tol,
-    MAX_ITER when it is not, and COLLAPSED_TO_ZERO or DIVERGED when the
-    last composite annihilated the iterate (mu = 0) or overflowed
-    (mu = inf); those two have mu_bounds (mu, mu), shape_delta inf and no
-    solution.  iterations counts composites on the result's grid and
-    coarse_iterations those of both coarse stages (0 where they do not
-    run); coarse_lambda0 is the COARSE_GRID stage's lambda0, None unless
-    both stages converged.
+    step's shape change ||A(shape)/mu - shape||.  status is CONVERGED when
+    shape_delta <= tol, MAX_ITER when it is not, and COLLAPSED_TO_ZERO or
+    DIVERGED when the last composite annihilated the iterate (mu = 0) or
+    overflowed (mu = inf); those two have mu_bounds (mu, mu), shape_delta
+    inf and no solution.  iterations counts composites on the result's
+    grid and coarse_iterations those of both coarse stages (0 where they
+    do not run); coarse_lambda0 is the COARSE_GRID stage's lambda0, None
+    unless both stages converged.
     """
 
     shape: GridFunction
@@ -258,17 +282,24 @@ def _shape_iteration(
     tol: float = SCAN_INNER_TOL,
     max_iter: int = SCAN_MAX_INNER,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None, float, float, int]:
-    """Run v <- r A(v)/||A(v)|| from start until a step moves the shape <= tol.
+    """Iterate the normalized map shape -> A(r shape)/||A(r shape)|| from start.
 
+    Stops once a step's input is within tol of its own normalized image.
     Returns (shape, chain, delta, G, iterations) of the last step: shape is
     its input, chain the chain of A(r shape), G = ||A(r shape)|| and delta
-    the step's shape change.  An annihilated iterate (G = 0) stops with
-    delta = inf, so it never counts as converged.  An overflowing composite
-    returns (start, None, inf, inf, iterations), so a warm start never
-    inherits an iterate on its way to overflow.  Every composite uses the
-    caller's quadrature plan.
+    = ||A(r shape)/G - shape||, that input's own defect.  The next input is
+    _mix's depth-1 Anderson mix of the last two normalized images, rescaled
+    to unit sup norm; where the clip at 0 leaves it all zero, the plain
+    step, the normalized image itself.  So every input is a nonnegative
+    unit-norm profile, and the stop, G and the chain all belong to it.  An
+    annihilated iterate (G = 0) stops with delta = inf, so it never counts
+    as converged.  An overflowing composite returns (start, None, inf, inf,
+    iterations), so a warm start never inherits an iterate on its way to
+    overflow.  Every composite uses the caller's quadrature plan.
     """
     new_shape = start
+    last_g = last_f = None
+    last_delta = math.inf
     for it in range(1, max_iter + 1):
         shape = new_shape
         # the last chain stays alive across this composite: dropping it first
@@ -280,10 +311,19 @@ def _shape_iteration(
         if G == 0:
             delta = math.inf
             break
-        new_shape = chain[0] / G
-        delta = sup_norm(new_shape - shape)
+        g = chain[0] / G
+        f = g - shape
+        delta = sup_norm(f)
         if delta <= tol:
             break
+        new_shape = _mix(g, f, last_g, last_f, delta, last_delta)
+        if new_shape is not g:
+            norm = sup_norm(new_shape)
+            if norm > 0:
+                new_shape /= norm
+            else:
+                new_shape = g
+        last_g, last_f, last_delta = g, f, delta
     return shape, chain, delta, G, it
 
 
@@ -367,11 +407,15 @@ def normalized_power_iteration(
     init: GridFunction,
     tol: float = 1e-10,
 ) -> EigenResult:
-    """Iterate v <- A(v)/||A(v)|| to the invariant shape.
+    """Iterate the normalized map v -> A(v)/||A(v)|| to the invariant shape.
 
     Normalization strips the scaling degree, so the iteration converges for
-    any homogeneity; mu and its bracket mu_bounds, read off the last step's
-    input and image, bound eigenvalues only in the degree-1 case.  On a grid
+    any homogeneity.  Each next input is _shape_iteration's Anderson mix of
+    the last two normalized images, so the returned shape is the last
+    step's input, not an image: mu = ||A(shape)||, shape_delta is that
+    input's own defect and mu_bounds are read off that input and its image.
+    The Collatz-Wielandt bracket holds for any positive input, so it bounds
+    eigenvalues in the degree-1 case as it did with plain steps.  On a grid
     with M - 1 >= COARSE_MIN_REFINEMENT (COARSE_GRID - 1) the iteration
     first runs on (COARSE_GRID + 1) / 2 and COARSE_GRID nodes and finishes
     on M from the two coarse shapes' Richardson extrapolation, prolonged
@@ -455,6 +499,9 @@ class NormProfile:
     marks radii whose inner shape iteration met its tolerance (never where
     the map annihilates the profile or a composite overflows, where G is
     inf); roots are accepted by their defect, not by these flags.
+    inner_iterations counts the composites of each inner shape iteration:
+    one entry per radius, then one per polish point in bracket order, so
+    its sum is the scan's composite count.
     """
 
     radii: tuple[float, ...]
@@ -463,6 +510,7 @@ class NormProfile:
     sign_changes: tuple[tuple[float, float], ...]
     roots: tuple[float, ...]
     polish_steps: tuple[int, ...]
+    inner_iterations: tuple[int, ...]
     solutions: tuple[SolutionBundle | None, ...]
 
 
@@ -496,7 +544,11 @@ def norm_profile_scan(
     picard_solve: a root can be repelling, and its profile can sit outside
     the cone (steeply decreasing forcing bends the tail convex), so no march
     and no cone gate.  The coarse pass and every polish share one
-    quadrature plan.
+    quadrature plan, and both run _shape_iteration, whose Anderson-mixed
+    inputs change only which profiles are tried: a radius counts as
+    converged, and a root as accepted, by the defect of the profile whose
+    image was taken.  inner_iterations records each shape iteration's
+    composites.
     """
     if not 0 < r_min < r_max < math.inf:
         raise ValueError("need 0 < r_min < r_max, both finite")
@@ -507,12 +559,14 @@ def norm_profile_scan(
     values = np.empty(points)
     converged = np.empty(points, dtype=bool)
     shapes: list[np.ndarray] = []
+    inner: list[int] = []
     shape = _default_shape(grid_size)
     plan = QuadratureTable(shape.size)
     for j, r in enumerate(radii):
-        shape, _, delta, values[j], _ = _shape_iteration(spec, float(r), shape, plan)
+        shape, _, delta, values[j], it = _shape_iteration(spec, float(r), shape, plan)
         converged[j] = delta <= SCAN_INNER_TOL
         shapes.append(shape)
+        inner.append(it)
 
     negative = np.signbit(values - radii)
     crossings = np.flatnonzero(negative[:-1] != negative[1:])
@@ -538,7 +592,8 @@ def norm_profile_scan(
             if step and not x[0] < point < x[1]:
                 break
             r = math.exp(point)
-            shape, chain, _, G, _ = _shape_iteration(spec, r, shape, plan)
+            shape, chain, _, G, it = _shape_iteration(spec, r, shape, plan)
+            inner.append(it)
             step += 1
             defect = math.inf if chain is None else sup_norm(chain[0] - r * shape)
             accepted = defect <= SCAN_INNER_TOL * r
@@ -561,6 +616,7 @@ def norm_profile_scan(
         sign_changes=brackets,
         roots=tuple(roots),
         polish_steps=tuple(steps),
+        inner_iterations=tuple(inner),
         solutions=tuple(solutions),
     )
 

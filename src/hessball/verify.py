@@ -124,9 +124,12 @@ def ode_residual(spec: SystemSpec, profiles: Sequence[GridFunction]) -> np.ndarr
 class VerificationReport:
     """Every checkable property of a candidate bundle, plus the verdict.
 
-    boundary_errors interleaves (|v_i(1)|, |v_i'(0)|) per equation.
-    passed requires residuals, boundary errors, and k_i-admissibility
-    margins within tolerance; cone_ok and convex_ok separately summarize
+    boundary_errors interleaves (|v_i(1)|, |v_i'(0)|) per equation, and
+    sup_norms holds each profile's ||v_i||.  passed requires every profile
+    to be nontrivial and finite, 0 < ||v_i|| < inf, and residuals, boundary
+    errors and k_i-admissibility margins within tolerance: the zero bundle
+    meets every one of those tolerances exactly, but solves nothing the
+    paper asks for.  cone_ok and convex_ok separately summarize
     the cone and full-convexity margins (see module docstring for why
     these are reported rather than gated on).
     """
@@ -136,6 +139,7 @@ class VerificationReport:
     admissibility_margins: tuple[float, ...]
     convexity_margins: tuple[float, ...]
     cone_margins: tuple[float, ...]
+    sup_norms: tuple[float, ...]
     residual_tol: float
     passed: bool
     cone_ok: bool
@@ -145,12 +149,14 @@ class VerificationReport:
 def verify_solution(bundle: SolutionBundle) -> VerificationReport:
     """Recompute every diagnostic of a bundle from scratch, each once.
 
-    The interior residual and the boundary errors are bounded by the
-    calibrated grid law residual_tolerance(M) = max(1e-6, 4000/M^2).  Each
-    profile's Hessian eigenvalue pair and its sigma_1..sigma_N are computed
-    once: sigma_{k_i} gives its equation's ode_residual, and the grid minima
-    give admissibility_check's margins at degree N, of which the minimum of
-    the first k_i is the admissibility margin and the minimum of all N the
+    A bundle passes only if every profile has a positive, finite sup norm
+    (sup_norms), whatever its other diagnostics read.  The interior
+    residual and the boundary errors are bounded by the calibrated grid law
+    residual_tolerance(M) = max(1e-6, 4000/M^2).  Each profile's Hessian
+    eigenvalue pair and its sigma_1..sigma_N are computed once: sigma_{k_i}
+    gives its equation's ode_residual, and the grid minima give
+    admissibility_check's margins at degree N, of which the minimum of the
+    first k_i is the admissibility margin and the minimum of all N the
     convexity margin.
     """
     spec = bundle.spec
@@ -163,15 +169,17 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
     cone_margins: list[float] = []
     adm_margins: list[float] = []
     convex_margins: list[float] = []
+    norms: list[float] = []
     cone_ok = True
     for i, vi in enumerate(bundle.v):
         vals = vi.values
         boundary.append(abs(float(vals[-1])))
         slope0 = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
         boundary.append(abs(float(slope0)))
+        norms.append(sup_norm(vi))
         report = cone_check(vi)
         cone_margins.append(report.margin)
-        slack = CONE_TOL_SCALE * (1.0 + sup_norm(vi))
+        slack = CONE_TOL_SCALE * (1.0 + norms[-1])
         cone_ok = cone_ok and report.nonneg_margin >= -slack and report.margin >= -slack
         a, b = hessian_eigenvalues(GridFunction(-vals))
         sigmas = [_symmetric_function(a, b, l, spec.N) for l in range(1, spec.N + 1)]
@@ -182,7 +190,8 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
     residuals = tuple(float(x) for x in _max_defects(spec, bundle.v, hessians))
 
     passed = (
-        all(r <= tol for r in residuals)
+        all(0.0 < n < math.inf for n in norms)
+        and all(r <= tol for r in residuals)
         and all(b <= tol for b in boundary)
         and all(m >= -ADMISSIBILITY_TOL for m in adm_margins)
     )
@@ -194,6 +203,7 @@ def verify_solution(bundle: SolutionBundle) -> VerificationReport:
         admissibility_margins=tuple(adm_margins),
         convexity_margins=tuple(convex_margins),
         cone_margins=tuple(cone_margins),
+        sup_norms=tuple(norms),
         residual_tol=float(tol),
         passed=passed,
         cone_ok=cone_ok,

@@ -573,10 +573,11 @@ class TestExitCodes:
     def test_unconverged_power_iteration_fails(
         self, tmp_path, monkeypatch, scenario, gamma, kind, steps
     ):
-        # after `steps` steps the shape still moves by ~1e-9 to 7e-9 > tol,
-        # while the eigenvalue bracket already passes
+        # after `steps` steps the mixed shape iteration still moves the shape
+        # by 2.9e-11 and 5.2e-12 > tol = 1e-12, and after one more it has
+        # converged, while the eigenvalue bracket already passes
         data = {"scenario": scenario, "N": 2, "k": [1, 1], "gamma": gamma,
-                "M": 301, "points": 16, "starts": 2}
+                "M": 301, "points": 16, "starts": 2, "tol": 1e-12}
         path = write_config(tmp_path, "p.json", data)
         for max_iter, code in ((solver.POWER_MAX_ITER, 0), (2, 4), (steps, 4)):
             monkeypatch.setattr(solver, "POWER_MAX_ITER", max_iter)
@@ -643,6 +644,28 @@ class TestExitCodes:
         profile = records[kinds.index("norm_profile")]["values"]
         assert len(profile["roots"]) == 1
         assert profile["values"][-1] == "inf" and profile["converged"][-1] is False
+
+    def test_norm_profile_records_inner_iterations(self, tmp_path, monkeypatch):
+        # the scan's work counter: composites per coarse radius, then one
+        # entry per polish point; the scan is multiplicity's only composite user
+        calls = []
+        composite = solver._composite
+
+        def counted(*args):
+            calls.append(args)
+            return composite(*args)
+
+        monkeypatch.setattr(solver, "_composite", counted)
+        data = {"scenario": "multiplicity", "N": 2, "k": [1, 1],
+                "terms": MULT_TERMS, "M": 301, "r0": 1.0,
+                "r_min": 1e-4, "r_max": 1e4, "points": 48}
+        path = write_config(tmp_path, "m.json", data)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        records = map(json.loads, (tmp_path / "out" / "report.jsonl").read_text().splitlines())
+        profile = next(r for r in records if r["kind"] == "norm_profile")["values"]
+        inner = profile["inner_iterations"]
+        assert len(inner) == len(profile["radii"]) + sum(profile["polish_steps"])
+        assert min(inner) >= 1 and sum(inner) == len(calls)
 
     def test_failed_run_keeps_its_report(self, tmp_path, monkeypatch):
         def broken_scan(*args, **kwargs):

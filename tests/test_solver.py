@@ -281,6 +281,207 @@ class TestAndersonMix:
         assert (rep.solution is not None) is (rep.status is IterationStatus.CONVERGED)
 
 
+def reference_picard(spec, init, tol=1e-10):
+    """picard_solve's loop with its depth-1 Anderson mix written out inline.
+
+    The loop as it stood before the mix moved into solver._mix, kept as
+    the reference that picard_solve must match bit for bit.  Returns
+    (status, iterations, final_delta, chain), chain None unless converged.
+    """
+    init_norm = sup_norm(init)
+    v = np.asarray(init.values, dtype=float)
+    plan = QuadratureTable(v.size)
+    delta = last_delta = math.inf
+    last_g = last_f = None
+    status = IterationStatus.MAX_ITER
+    for iterations in range(1, solver.PICARD_MAX_ITER + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                chain = apply_composite(spec, v, plan=plan)
+            except NonFiniteError:
+                chain = None
+        if chain is None:
+            delta = norm = math.inf
+        else:
+            g = chain[0]
+            f = g - v
+            delta, norm = sup_norm(f), sup_norm(g)
+        if norm < solver.COLLAPSE_RELATIVE * init_norm:
+            status = IterationStatus.COLLAPSED_TO_ZERO
+        elif norm > solver.DIVERGENCE_NORM:
+            status = IterationStatus.DIVERGED
+        elif delta <= tol * (1.0 + norm):
+            status = IterationStatus.CONVERGED
+        else:
+            v = g
+            if last_f is not None and delta <= last_delta:
+                df = f - last_f
+                dd = float(df @ df)
+                if dd > 0:
+                    v = g - (float(df @ f) / dd) * (g - last_g)
+                    np.maximum(v, 0.0, out=v)
+            last_g, last_f, last_delta = g, f, delta
+            continue
+        break
+    converged = status is IterationStatus.CONVERGED
+    return status, iterations, delta, chain if converged else None
+
+
+def draw_degrees(draw):
+    """(N, k, b): N = 2..4, k_i in 1..N, b_1 b_2 / (k_1 k_2) in [0.2, 1.5]."""
+    N = draw(st.integers(2, 4))
+    k = (draw(st.integers(1, N)), draw(st.integers(1, N)))
+    product = draw(st.floats(0.2, 1.5)) * k[0] * k[1]
+    w = draw(st.floats(0.3, 0.7))
+    return N, k, (product**w, product ** (1.0 - w))
+
+
+@st.composite
+def two_term_systems(draw):
+    """A two-term system (two_term_system), sublinear to superlinear."""
+    return two_term_system(
+        *draw_degrees(draw), draw(st.floats(0.3, 0.8)), draw(st.floats(0.5, 2.0)),
+        draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2.0)),
+    )
+
+
+@st.composite
+def pure_power_systems(draw):
+    """A pure power system v^b_i, sublinear to superlinear."""
+    return PowerSystemSpec(*draw_degrees(draw))
+
+
+class TestPicardMatchesReference:
+    """The shared mix helper leaves picard_solve's arithmetic unchanged."""
+
+    # sublinear to superlinear, small to large starts: every status, and
+    # steps whose defect rises
+    @given(two_term_systems(), st.integers(7, 2001), st.floats(-3.0, 3.0))
+    def test_bit_identical(self, spec, M, log_scale):
+        init = GridFunction(10.0**log_scale * dome(M).values)
+        status, iterations, delta, chain = reference_picard(spec, init)
+        rep = picard_solve(spec, init)
+        assert rep.status is status
+        assert rep.iterations == iterations
+        assert rep.final_delta == delta
+        assert (rep.solution is None) is (chain is None)
+        if chain is not None:
+            for got, want in zip(rep.solution.v, chain):
+                assert np.array_equal(got.values, want)
+
+    @pytest.mark.parametrize(
+        "spec, scale, M, tol",
+        [
+            (SLOW_TWO_TERM, 1.0, 4001, 1e-10),
+            # the clip at 0 decides these collapses
+            (CRITICAL, 1.0, 301, 1e-12),
+            (lambda_scaled_system(LAPLACE_3D, (48.0, 1.0)), 1.0, 401, 1e-12),
+            # a rising defect takes the plain step on the way to divergence
+            (lambda_scaled_system(LAPLACE_3D, (195.0, 1.0)), 1.0, 401, 1e-12),
+            (PowerSystemSpec(2, (1, 1), (3.0, 3.0)), 50.0, 301, 1e-12),
+        ],
+        ids=["slow-two-term", "critical", "undersized", "oversized", "superlinear"],
+    )
+    def test_fixed_cases(self, spec, scale, M, tol):
+        init = GridFunction(scale * dome(M).values)
+        status, iterations, delta, chain = reference_picard(spec, init, tol)
+        rep = picard_solve(spec, init, tol)
+        assert (rep.status, rep.iterations, rep.final_delta) == (status, iterations, delta)
+        if chain is not None:
+            assert all(np.array_equal(g.values, w) for g, w in zip(rep.solution.v, chain))
+
+
+def plain_shape_iteration(spec, start, tol):
+    """The normalized step shape <- A(shape)/||A(shape)|| without the mix.
+
+    Returns (shape, delta, iterations) of the last step, as
+    solver._shape_iteration does at r = 1.
+    """
+    shape, plan = start, QuadratureTable(start.size)
+    for iterations in range(1, solver.POWER_MAX_ITER + 1):
+        g = apply_composite(spec, shape, plan=plan)[0]
+        new = g / sup_norm(g)
+        delta = sup_norm(new - shape)
+        if delta <= tol:
+            break
+        shape = new
+    return shape, delta, iterations
+
+
+shape_systems = st.one_of(pure_power_systems(), two_term_systems())
+
+
+class TestMixedShapeIteration:
+    """_shape_iteration's mixed inputs keep every certificate read off them."""
+
+    @given(shape_systems, st.integers(7, 2001), st.floats(-2.0, 2.0), st.integers(1, 12))
+    def test_returns_a_unit_input_and_its_own_defect(self, spec, M, log_r, max_iter):
+        r = 10.0**log_r
+        shape, chain, delta, G, _ = solver._shape_iteration(
+            spec, r, dome(M).values, QuadratureTable(M), solver.SCAN_INNER_TOL, max_iter
+        )
+        assert chain is not None and 0 < G < math.inf
+        assert shape.min() >= 0.0 and sup_norm(shape) == 1.0
+        # G, delta and the chain all belong to the returned input
+        assert np.array_equal(chain[0], apply_composite(spec, r * shape)[0])
+        assert G == sup_norm(chain[0])
+        image = chain[0] / G
+        assert delta == sup_norm(image - shape)
+        # the mix never takes the shape out of a cone the map's image lies in
+        # (steep forcings bend the image itself out of it; see verify)
+        assert cone_check(shape).in_cone or not cone_check(image).in_cone
+
+    @given(shape_systems, st.integers(7, 2001))
+    def test_power_iteration_bracket_holds_mu(self, spec, M):
+        eig = normalized_power_iteration(spec, dome(M))
+        assert eig.status is IterationStatus.CONVERGED
+        lo, hi = eig.mu_bounds
+        assert lo <= eig.mu <= hi
+        assert sup_norm(eig.shape) == 1.0
+        image = eig.solution.v[0].values / eig.mu
+        assert eig.shape_delta == sup_norm(image - eig.shape.values)
+        assert cone_check(eig.shape).in_cone or not cone_check(image).in_cone
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_fewer_composites_than_plain_steps(self, N):
+        # the fine_grid systems' COARSE_GRID stage: the same shape in fewer steps
+        spec = PowerSystemSpec(N, (1, 1), (1.0, 1.0))
+        start = dome(solver.COARSE_GRID).values
+        plain, plain_delta, plain_iterations = plain_shape_iteration(spec, start, 1e-12)
+        shape, _, delta, _, iterations = solver._shape_iteration(
+            spec, 1.0, start, QuadratureTable(start.size), 1e-12, solver.POWER_MAX_ITER
+        )
+        assert delta <= 1e-12 and plain_delta <= 1e-12
+        assert iterations < plain_iterations
+        assert sup_norm(shape - plain) <= 1e-11
+
+    def test_mix_is_rescaled_to_unit_norm(self, monkeypatch):
+        # images of decreasing profiles peak at t = 0, so a true mix keeps
+        # its peak there at 1; a raised mix shows the rescale
+        calls = record_composites(monkeypatch)
+        monkeypatch.setattr(solver, "_mix", lambda g, *rest: g + 0.25)
+        r = 2.0
+        solver._shape_iteration(
+            SUBLINEAR, r, dome(301).values, QuadratureTable(301), max_iter=4
+        )
+        assert len(calls) == 4
+        for (_, chain), (v, _) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(v, r * ((chain[0] / sup_norm(chain[0]) + 0.25) / 1.25))
+            assert sup_norm(v) == r
+
+    def test_all_zero_mix_takes_the_plain_step(self, monkeypatch):
+        calls = record_composites(monkeypatch)
+        monkeypatch.setattr(solver, "_mix", lambda g, *rest: np.zeros_like(g))
+        r = 2.0
+        shape, _, delta, _, iterations = solver._shape_iteration(
+            SUBLINEAR, r, dome(301).values, QuadratureTable(301)
+        )
+        assert delta <= solver.SCAN_INNER_TOL and iterations == len(calls) > 2
+        # every next input is the last image, normalized
+        for (_, chain), (v, _) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(v, r * (chain[0] / sup_norm(chain[0])))
+
+
 class TestNormalizedPowerIteration:
     def test_laplacian_eigenvalue_3d(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(1001))
@@ -725,14 +926,15 @@ class TestNormProfileScan:
 
     @pytest.mark.parametrize("steps", [1, 4])
     def test_polish_cut_short_is_not_accepted(self, monkeypatch, steps):
-        # the criterion-9 roots need 2 and 5 polish points at M = 301; a root
-        # whose polish runs out of points before its defect test passes is
-        # not accepted, though its defect can be below 1e-8 (1 + r)
+        # the criterion-9 roots need 2 and 5 polish points at M = 301 over 32
+        # radii; a root whose polish runs out of points before its defect
+        # test passes is not accepted, though its defect can be below
+        # 1e-8 (1 + r)
         spec = SystemSpec(2, (1, 1), (MULT_FORCING,) * 2)
-        full = norm_profile_scan(spec, 1e-4, 1e4, 48, grid_size=301)
+        full = norm_profile_scan(spec, 1e-4, 1e4, 32, grid_size=301)
         assert full.polish_steps == (2, 5) and all(full.solutions)
         monkeypatch.setattr(solver, "POLISH_MAX_STEPS", steps)
-        cut = norm_profile_scan(spec, 1e-4, 1e4, 48, grid_size=301)
+        cut = norm_profile_scan(spec, 1e-4, 1e4, 32, grid_size=301)
         assert cut.polish_steps == tuple(min(n, steps) for n in full.polish_steps)
         for needed, bundle in zip(full.polish_steps, cut.solutions):
             assert (bundle is None) == (needed > steps)
@@ -923,6 +1125,7 @@ class TestOneCompositePerStep:
         assert len(calls) == sum(inner)
         # one inner iteration per coarse radius, then one per polish point
         assert len(inner) - points == sum(prof.polish_steps)
+        assert prof.inner_iterations == tuple(inner)
 
 
 @pytest.fixture

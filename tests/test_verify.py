@@ -104,12 +104,19 @@ class TestVerifySolution:
         assert min(report.admissibility_margins) >= 0.0
         assert report.residual_tol == residual_tolerance(201)
 
-    def test_zero_bundle_passes(self):
-        spec = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
-        zeros = GridFunction(np.zeros(101))
-        bundle = SolutionBundle(v=(zeros, zeros), spec=spec)
-        report = verify_solution(bundle)
-        assert report.passed
+    @pytest.mark.parametrize(
+        "gamma, M", [((0.5, 0.5), 101), ((0.9, 1.0), 1001)], ids=["sublinear", "ratio-0.9"]
+    )
+    def test_zero_bundle_fails(self, gamma, M):
+        # the trivial fixed point meets every tolerance exactly; only the
+        # nontriviality gate on the sup norms turns it down
+        spec = PowerSystemSpec(2, (1, 1), gamma)
+        zeros = GridFunction(np.zeros(M))
+        report = verify_solution(SolutionBundle(v=(zeros, zeros), spec=spec))
+        assert report.sup_norms == (0.0, 0.0)
+        assert max(report.max_residual) == 0.0 and max(report.boundary_errors) == 0.0
+        assert min(report.admissibility_margins) == 0.0
+        assert not report.passed
 
     def test_corrupted_sample_fails(self):
         good = make_bundle(constant_system(), dome(201))
