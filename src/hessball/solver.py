@@ -18,11 +18,11 @@ tests the defect of the input whose image was taken:
   to its spacing, and the COARSE_GRID and fine lambda0 give Richardson's
   estimate of the fine grid's discretization error;
 * analytic rescaling, which turns (phi, mu) into a fixed point of the
-  discrete map for pure powers via c = mu^{1/(1-rho)}; the existence
-  scenario solves sublinear pure powers this way, not by Picard;
+  discrete map for pure powers via c = mu^{1/(1-rho)} on either side of
+  ratio 1; every scenario solves pure powers this way, not by Picard;
 * a norm-profile scan, which measures G(r) = ||A(v_r)|| along shape-converged
   profiles of prescribed norm r and brackets the roots of G(r) - r, covering
-  regimes where the fixed point repels plain iteration.
+  systems that are not homogeneous, whose fixed points can repel iteration.
 
 The multiplier helpers relate systems with per-equation constant factors to
 the factor-free chain: the composite map only sees the single number
@@ -472,7 +472,9 @@ def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | 
     whatever the size of c.  At rho = 1 no scale works unless mu = 1
     exactly, which is the eigenvalue situation, so None is returned
     whenever unit_ratio_sign(rho) is 0, and when c is not a positive finite
-    float (the power over- or underflows, or mu is 0).
+    float (the power over- or underflows, or mu is 0).  It is exact on
+    either side of ratio 1: G(r) = r^rho mu along r phi, so c is the only
+    root of G(r) = r, the one a norm-profile scan would bracket.
     """
     _power_exponents(spec, "rescale_to_solution")
     rho = spec.homogeneity_ratio

@@ -132,6 +132,12 @@ def uniqueness_config(tmp_path, **overrides):
     return write_config(tmp_path, "uniq.json", data)
 
 
+def multiplicity_config(tmp_path):
+    data = {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS,
+            "M": 301, "r0": 1.0}
+    return write_config(tmp_path, "mult.json", data)
+
+
 class TestLoadConfig:
     def test_power_system(self, tmp_path):
         cfg = load_config(uniqueness_config(tmp_path))
@@ -431,14 +437,15 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, system
     ):
         # The contraction record's bracket end hi < 1 bounds every cone
-        # start's A^n(v) by c hi^n phi, so no Picard restart samples the
-        # collapse.  Three restarts ahead of the scan, recording `collapse`,
-        # fed no other record: without them every other line is the same.
+        # start's A^n(v) by c hi^n phi, so neither Picard restarts nor a
+        # norm-profile scan sample the collapse.  Three restarts ahead of
+        # the certificate, recording `collapse`, feed no other record:
+        # without them every other line is the same.
         data = {"scenario": "nonexistence", **system, "M": 1001, "seed": 3}
         path = write_config(tmp_path, "n.json", data)
-        scan = hessball.cli._scan
+        nonexistence = hessball.cli._scenario_nonexistence
 
-        def restarts_then_scan(run):
+        def restarts_first(run):
             cfg = run.config
             collapsed = sum(
                 hessball.picard_solve(cfg.spec, init, tol=1e-12).status
@@ -447,24 +454,25 @@ class TestExitCodes:
             )
             run.record("collapse", {"collapsed": collapsed, "starts": 3},
                        passed=collapsed == 3)
-            return scan(run)
+            nonexistence(run)
 
         with monkeypatch.context() as patch:
-            patch.setattr(hessball.cli, "_scan", restarts_then_scan)
+            patch.setitem(hessball.cli._SCENARIO_RUNNERS, "nonexistence", restarts_first)
             assert main(["run", path, "--out", str(tmp_path / "ref"), "--quiet"]) == 0
         reference = (tmp_path / "ref" / "report.jsonl").read_text().splitlines()
-        assert '"collapsed": 3' in reference[2]
+        assert '"collapsed": 3' in reference[1]
 
-        def no_picard(*args, **kwargs):
-            raise RuntimeError("picard_solve called")
+        def not_called(*args, **kwargs):
+            raise RuntimeError("picard_solve or norm_profile_scan called")
 
-        monkeypatch.setattr(hessball.cli, "picard_solve", no_picard)
+        monkeypatch.setattr(hessball.cli, "picard_solve", not_called)
+        monkeypatch.setattr(hessball.cli, "norm_profile_scan", not_called)
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out), "--quiet"]) == 0
         lines = (out / "report.jsonl").read_text().splitlines()
         kinds = [json.loads(line)["kind"] for line in lines]
-        assert kinds == ["run_config", "contraction", "norm_profile", "bracket_count"]
-        assert lines == reference[:2] + reference[3:]
+        assert kinds == ["run_config", "contraction"]
+        assert lines == reference[:1] + reference[2:]
 
     def test_gamma_and_terms_spellings_agree(self, tmp_path):
         # v^{1/2} written as a pure power and as one explicit term
@@ -500,11 +508,20 @@ class TestExitCodes:
                  "r_min": 1e-4, "r_max": 1e4},
                 2,
             ),
-            ({"N": 3, "k": [1, 1], "gamma": [2, 2], "points": 16}, 1),
+            ({"N": 3, "k": [1, 1], "gamma": [2, 2]}, "power_rescale"),
+            ({"N": 2, "k": [1, 1], "terms": [[[1, 0, 2], [1, 0, 3]]] * 2}, 1),
         ],
-        ids=["C1-picard", "C1-power-rescale", "C3-scan", "C2-scan"],
+        ids=["C1-picard", "C1-power-rescale", "C3-scan", "C2-power-rescale",
+             "C2-scan"],
     )
-    def test_existence_succeeds(self, tmp_path, system, expected):
+    def test_existence_succeeds(self, tmp_path, monkeypatch, system, expected):
+        if isinstance(expected, str):
+            # a pure power is solved by the rescale on either side of ratio
+            # 1, any other C1 system by Picard, and neither is scanned
+            def no_scan(*args, **kwargs):
+                raise RuntimeError("norm_profile_scan called")
+
+            monkeypatch.setattr(hessball.cli, "norm_profile_scan", no_scan)
         path = write_config(
             tmp_path, "x.json", {"scenario": "existence", "M": 301, **system}
         )
@@ -515,7 +532,6 @@ class TestExitCodes:
             for rec in map(json.loads, (out / "report.jsonl").read_text().splitlines())
         }
         if isinstance(expected, str):
-            # a pure power is solved by the rescale, any other C1 system by Picard
             other = {"picard": "power_rescale", "power_rescale": "picard"}[expected]
             assert records[expected]["pass"] is True
             assert other not in records
@@ -630,10 +646,10 @@ class TestExitCodes:
         assert record["values"]["shape_delta"] == "inf"
 
     def test_overflowing_scan_is_no_error(self, tmp_path):
-        # gamma = (20, 20) overflows at the top of the default r-range; the
-        # scan reads those radii as G = inf and still brackets the root
-        data = {"scenario": "existence", "N": 2, "k": [1, 1], "gamma": [20, 20],
-                "M": 301}
+        # v^2 + v^20 overflows at the top of the default r-range; the scan
+        # reads those radii as G = inf and still brackets the root
+        data = {"scenario": "existence", "N": 2, "k": [1, 1],
+                "terms": [[[1, 0, 2], [1, 0, 20]]] * 2, "M": 301}
         path = write_config(tmp_path, "x.json", data)
         out = tmp_path / "out"
         main(["run", path, "--out", str(out), "--quiet"])
@@ -673,13 +689,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(hessball.cli, "norm_profile_scan", broken_scan)
         out = tmp_path / "out"
-        path = uniqueness_config(tmp_path)
+        path = multiplicity_config(tmp_path)
         assert main(["run", path, "--out", str(out), "--quiet"]) == 4
         lines = (out / "report.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "run_config"
-        assert "power_rescale" in kinds  # the records made before the scan
+        assert "thresholds" in kinds  # the records made before the scan
         error = records[-1]
         assert error["kind"] == "error" and error["pass"] is False
         assert error["values"]["type"] == "RuntimeError"
@@ -707,7 +723,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         with pytest.raises(KeyboardInterrupt):
             hessball.cli.run_scenario(
-                load_config(uniqueness_config(tmp_path)), out_dir=out, quiet=True
+                load_config(multiplicity_config(tmp_path)), out_dir=out, quiet=True
             )
         assert not (out / "report.jsonl").exists()
 
@@ -1011,40 +1027,37 @@ class TestUniquenessByRescale:
     """Uniqueness solves from 1 - t^2 and from each random start by the
     power iteration and the rescale; every start must reach one profile."""
 
-    KINDS = ["run_config", "power_rescale", "multi_start_agreement", "norm_profile",
-             "bracket_count", "sublinearity", "verification_1"]
+    KINDS = ["run_config", "power_rescale", "multi_start_agreement", "sublinearity",
+             "verification_1"]
     # the seed-1 system whose Picard start read its fixed point, of norm
     # 1.7e-14, as a collapse to zero
     TINY = {"scenario": "uniqueness", "N": 3, "k": [1, 2],
             "gamma": [1.39391119007645, 1.2288555668292651], "M": 1001, "seed": 1}
+
+    @pytest.fixture(autouse=True)
+    def no_picard_or_scan(self, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise RuntimeError("picard_solve or norm_profile_scan called")
+
+        monkeypatch.setattr(hessball.cli, "picard_solve", not_called)
+        monkeypatch.setattr(hessball.cli, "norm_profile_scan", not_called)
 
     def run(self, tmp_path, data):
         path = write_config(tmp_path, "u.json", data)
         out = tmp_path / "out"
         return main(["run", path, "--out", str(out), "--quiet"]), read_records(out)
 
-    def test_tiny_fixed_point_is_the_scan_root(self, tmp_path):
-        code, records = self.run(tmp_path, {**self.TINY, "r_min": 1e-16, "r_max": 1})
+    def test_tiny_fixed_point_outside_the_scan_range(self, tmp_path):
+        # the default range [1e-3, 1e3] holds no root at 1.7e-14, and no
+        # record reads it: the rescale reaches a fixed point of any norm
+        code, records = self.run(tmp_path, self.TINY)
         assert code == 0
         assert [r["kind"] for r in records] == self.KINDS
-        by_kind = {r["kind"]: r for r in records}
-        c = by_kind["power_rescale"]["values"]["c"]
-        (root,) = by_kind["norm_profile"]["values"]["roots"]
+        assert [r["pass"] for r in records[1:]] == [True] * 4  # run_config: null
+        c = records[1]["values"]["c"]
         assert 0 < c < 1e-12
-        assert abs(c - root) <= 1e-9 * root
-
-    def test_tiny_fixed_point_outside_the_scan_range(self, tmp_path):
-        # the default range [1e-3, 1e3] cannot bracket a root at 1.7e-14
-        code, records = self.run(tmp_path, self.TINY)
-        assert code == 4
-        failed = [r["kind"] for r in records if r["pass"] is False]
-        assert failed == ["bracket_count"]
-        assert "picard" not in [r["kind"] for r in records]
 
     def test_runs_no_picard_iteration(self, tmp_path, monkeypatch):
-        def no_picard(*args, **kwargs):
-            raise RuntimeError("picard_solve called")
-
         calls = []
         power_iteration = hessball.cli.normalized_power_iteration
 
@@ -1052,7 +1065,6 @@ class TestUniquenessByRescale:
             calls.append(args)
             return power_iteration(*args, **kwargs)
 
-        monkeypatch.setattr(hessball.cli, "picard_solve", no_picard)
         monkeypatch.setattr(hessball.cli, "normalized_power_iteration", counted)
         out = tmp_path / "out"
         assert main(["run", uniqueness_config(tmp_path), "--out", str(out), "--quiet"]) == 0

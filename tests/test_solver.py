@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessball import (
@@ -327,11 +327,11 @@ def reference_picard(spec, init, tol=1e-10):
     return status, iterations, delta, chain if converged else None
 
 
-def draw_degrees(draw):
-    """(N, k, b): N = 2..4, k_i in 1..N, b_1 b_2 / (k_1 k_2) in [0.2, 1.5]."""
+def draw_degrees(draw, ratios=st.floats(0.2, 1.5)):
+    """(N, k, b): N = 2..4, k_i in 1..N, b_1 b_2 / (k_1 k_2) drawn from ratios."""
     N = draw(st.integers(2, 4))
     k = (draw(st.integers(1, N)), draw(st.integers(1, N)))
-    product = draw(st.floats(0.2, 1.5)) * k[0] * k[1]
+    product = draw(ratios) * k[0] * k[1]
     w = draw(st.floats(0.3, 0.7))
     return N, k, (product**w, product ** (1.0 - w))
 
@@ -349,6 +349,13 @@ def two_term_systems(draw):
 def pure_power_systems(draw):
     """A pure power system v^b_i, sublinear to superlinear."""
     return PowerSystemSpec(*draw_degrees(draw))
+
+
+@st.composite
+def rescalable_power_systems(draw):
+    """A pure power system v^b_i with ratio in [0.2, 0.95] or [1.05, 4]."""
+    ratios = st.floats(0.2, 0.95) | st.floats(1.05, 4.0)
+    return PowerSystemSpec(*draw_degrees(draw, ratios))
 
 
 class TestPicardMatchesReference:
@@ -950,6 +957,23 @@ class TestNormProfileScan:
         overflowed = [j for j, g in enumerate(wide.values) if g == math.inf]
         assert overflowed and overflowed[-1] == len(wide.radii) - 1
         assert not any(wide.converged[j] for j in overflowed)
+
+    # the seed-1 benchmark system whose fixed point has norm 1.7e-14 at M = 1001
+    @given(rescalable_power_systems())
+    @example(PowerSystemSpec(3, (1, 2), (1.39391119007645, 1.2288555668292651)))
+    def test_pure_power_root_is_the_rescale(self, spec):
+        # G(r) = r^rho mu along r phi, so around the rescale's c the scan
+        # brackets one root and accepts it.  The polish stops once
+        # |A(r phi) - r phi| <= tau r, tau = SCAN_INNER_TOL, so |G(r)/r - 1|
+        # <= tau there; with c^(rho-1) mu = 1, (r/c)^(rho-1) is within tau of
+        # 1, which puts r within about tau/|1 - rho| of c, relative.
+        eig = normalized_power_iteration(spec, dome(301), tol=solver.SCAN_INNER_TOL)
+        c = sup_norm(rescale_to_solution(spec, eig).v[0])
+        prof = norm_profile_scan(spec, c / 30, 30 * c, 16, grid_size=301)
+        assert len(prof.sign_changes) == 1 and prof.solutions[0] is not None
+        (root,) = prof.roots
+        rho = spec.homogeneity_ratio
+        assert abs(root - c) <= solver.SCAN_INNER_TOL / abs(1.0 - rho) * c
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
