@@ -115,7 +115,8 @@ class ScenarioConfig:
         every number must be finite, and booleans are not numbers.
         load_config passes its numbers here uncast, so a config file and a
         Python caller meet the same checks and the same ConfigError.  Each
-        lambda row needs one positive multiplier per equation.
+        lambda row needs one positive multiplier per equation.  The scan
+        range and points are range-checked only for _SCAN_SCENARIOS.
         """
         if self.scenario not in _SCENARIO_RUNNERS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
@@ -149,12 +150,13 @@ class ScenarioConfig:
             raise ConfigError("seed must be nonnegative")
         if self.starts < 1:
             raise ConfigError("starts must be at least 1")
-        if not 0 < self.r_min < self.r_max < math.inf:
-            raise ConfigError("need 0 < r_min < r_max, both finite")
+        if self.scenario in _SCAN_SCENARIOS:
+            if not 0 < self.r_min < self.r_max < math.inf:
+                raise ConfigError("need 0 < r_min < r_max, both finite")
+            if self.points < 8:
+                raise ConfigError("need at least 8 scan points")
         if any(a is not None and not 0 < a < math.inf for a in (self.r0, self.R0)):
             raise ConfigError("r0 and R0 must be positive and finite")
-        if self.points < 8:
-            raise ConfigError("need at least 8 scan points")
         if self.scenario == "multiplicity" and self.r0 is None and self.R0 is None:
             raise ConfigError("multiplicity scenario needs r0 or R0")
         if self.scenario == "verify" and self.solution_csv is None:
@@ -204,6 +206,9 @@ _NUMBER_FIELDS = {  # ScenarioConfig's number fields and the cast each gets
 }
 _KEYS = {"scenario", "N", "k", "gamma", "terms", "lambda", "solution_csv",
          *_NUMBER_FIELDS}
+# the scenarios that can scan, and so the only ones whose r_min, r_max and
+# points are range-checked
+_SCAN_SCENARIOS = ("existence", "multiplicity")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -22,7 +22,9 @@ tests the defect of the input whose image was taken:
   ratio 1; every scenario solves pure powers this way, not by Picard;
 * a norm-profile scan, which measures G(r) = ||A(v_r)|| along shape-converged
   profiles of prescribed norm r and brackets the roots of G(r) - r, covering
-  systems that are not homogeneous, whose fixed points can repel iteration.
+  systems that are not homogeneous, whose fixed points can repel iteration;
+  only the sign of G(r) - r sets a bracket, so its coarse pass settles each
+  shape loosely and converges fully only the radii that decide a bracket.
 
 The multiplier helpers relate systems with per-equation constant factors to
 the factor-free chain: the composite map only sees the single number
@@ -74,6 +76,19 @@ DIVERGENCE_NORM = 1e10
 PICARD_MAX_ITER = 500
 POWER_MAX_ITER = 500
 SCAN_INNER_TOL = 1e-10
+# The scan's coarse pass settles each shape to SCAN_SIGN_TOL only, and runs
+# a radius on to SCAN_INNER_TOL where |G - r| <= SIGN_MARGIN delta max(G, r),
+# delta the loose shape's last change.  |G_loose - G_full| / (delta G_full),
+# measured at every radius over [1e-4, 1e4]: 9.8 on criterion 9's system
+# (M = 1001, 48 radii); at most 13 on 80 random systems of its family
+# (M = 301, 32 radii); at most 60 with N = 3, forcing eps (v^0.34 + v^3.99),
+# over every k_i <= 3 and eps from 0.01 to 1 (48 radii, M = 301 and 1001;
+# the 60 is k = (1, 1), eps = 0.03).  On criterion 9 and that k = (1, 1),
+# eps = 0.03 system every margin from 0 to 1e4 re-runs just the 4 bracket
+# ends, and 1e5 re-runs more, so 1e3 costs nothing there and leaves 17x
+# headroom.  Criterion 9's scan took 105 composites, 198 at SCAN_INNER_TOL.
+SCAN_SIGN_TOL = 1e-4
+SIGN_MARGIN = 1e3
 SCAN_MAX_INNER = 300
 POLISH_MAX_STEPS = 64
 LAMBDA_PRODUCT_RTOL = 1e-6
@@ -493,17 +508,21 @@ def rescale_to_solution(spec: SystemSpec, eig: EigenResult) -> SolutionBundle | 
 class NormProfile:
     """Scan of G(r) = ||A(v_r)|| along shape-converged profiles of norm r.
 
-    sign_changes holds the neighbouring radii where the sign bit of G(r) - r
-    flips (zero counts as non-negative); roots the radius where each
-    bracket's polish stopped, and polish_steps the number of radii it
-    evaluated there; solutions its chain of A, or None where the polish
-    stopped before its fixed-point defect met SCAN_INNER_TOL r.  converged
-    marks radii whose inner shape iteration met its tolerance (never where
-    the map annihilates the profile or a composite overflows, where G is
-    inf); roots are accepted by their defect, not by these flags.
-    inner_iterations counts the composites of each inner shape iteration:
-    one entry per radius, then one per polish point in bracket order, so
-    its sum is the scan's composite count.
+    values holds G at each radius, from a shape settled to SCAN_INNER_TOL
+    where the sign-first pass re-ran the radius (every bracket end, and
+    every radius whose sign the loose shape could have misread) and to
+    SCAN_SIGN_TOL elsewhere.  sign_changes holds the neighbouring radii
+    where the sign bit of G(r) - r flips (zero counts as non-negative);
+    roots the radius where each bracket's polish stopped, and polish_steps
+    the number of radii it evaluated there; solutions its chain of A, or
+    None where the polish stopped before its fixed-point defect met
+    SCAN_INNER_TOL r.  converged marks radii whose shape iteration met the
+    tolerance it was run at (never where the map annihilates the profile
+    or a composite overflows, where G is inf); roots are accepted by their
+    defect, not by these flags.  inner_iterations counts the composites of
+    each shape iteration: one entry per radius, a re-run's added to its
+    radius's, then one per polish point in bracket order, so its sum is the
+    scan's composite count.
     """
 
     radii: tuple[float, ...]
@@ -530,11 +549,31 @@ def norm_profile_scan(
 ) -> NormProfile:
     """Profile the composite map's norm response over log-spaced radii.
 
-    Every root of G(r) - r is a candidate solution norm.  Neighbouring radii
-    where the sign bit of G(r) - r flips are polished by Illinois regula
-    falsi (Dowell & Jarratt 1971) on psi(x) = log G - x, x = log r, which is
-    affine once the shape has converged for a pure power, from the coarse
-    values at both ends and the coarse shape at the lower one.  An end at
+    Every root of G(r) - r is a candidate solution norm, and a bracket needs
+    only the sign of G(r) - r, so the coarse pass is sign-first (loose
+    inner solves in an outer iteration, Eisenstat & Walker 1996).  Each
+    radius's shape iteration runs to SCAN_SIGN_TOL from the last radius's
+    normalized image (its shape, where it did not converge).  Where its
+    last shape change delta leaves
+    |G - r| <= SIGN_MARGIN delta max(G, r) (the measured bound on the loose
+    shape's error in G, times delta, with headroom), it runs on to
+    SCAN_INNER_TOL from its own normalized image, an input that radius has
+    not tried; then so does each end of every bracket those values leave,
+    until both ends of every bracket ran to SCAN_INNER_TOL.  A radius whose
+    loose pass reads G = 0 or inf, or missed SCAN_SIGN_TOL, is not re-run.
+    A system with one active term per forcing, a pure power among them, has
+    the same normalized map at every r, so its radii all run to
+    SCAN_INNER_TOL, each from the last radius's shape, and none is re-run:
+    every radius then follows the power iteration's own shape iteration,
+    and the root stays within SCAN_INNER_TOL / |1 - rho| of the rescale's
+    c.  A loose pass saved 5% of those scans' composites (4250 against
+    4475 over 200 random pure powers at M = 301) but moved 23 of the 200
+    roots up to 7.4 times that distance from c.
+    Neighbouring radii where the sign bit of G(r) - r flips are polished
+    by Illinois regula falsi (Dowell & Jarratt 1971) on psi(x) = log G - x,
+    x = log r, which is affine once the shape has converged for a pure
+    power, from the values at both ends and the shape at the lower one,
+    all settled to SCAN_INNER_TOL.  An end at
     G = 0 or inf, or a secant point not strictly inside the bracket, takes
     the bisection step in x instead.  The last composite at a point r gives
     A(v) for v = r shape, so both G(r) and the defect max|A(v) - v|; the
@@ -545,12 +584,12 @@ def norm_profile_scan(
     An overflowing composite reads as G = inf.  Deliberately not
     picard_solve: a root can be repelling, and its profile can sit outside
     the cone (steeply decreasing forcing bends the tail convex), so no march
-    and no cone gate.  The coarse pass and every polish share one
-    quadrature plan, and both run _shape_iteration, whose Anderson-mixed
+    and no cone gate.  The coarse pass, its re-runs and every polish share
+    one quadrature plan, and all run _shape_iteration, whose Anderson-mixed
     inputs change only which profiles are tried: a radius counts as
     converged, and a root as accepted, by the defect of the profile whose
-    image was taken.  inner_iterations records each shape iteration's
-    composites.
+    image was taken.  inner_iterations records each radius's composites,
+    its re-run's included, then each polish point's.
     """
     if not 0 < r_min < r_max < math.inf:
         raise ValueError("need 0 < r_min < r_max, both finite")
@@ -559,25 +598,57 @@ def norm_profile_scan(
 
     radii = np.logspace(math.log10(r_min), math.log10(r_max), points)
     values = np.empty(points)
-    converged = np.empty(points, dtype=bool)
-    shapes: list[np.ndarray] = []
+    deltas = np.empty(points)
+    resumable = np.zeros(points, dtype=bool)
+    rerun = np.zeros(points, dtype=bool)
+    starts: list[np.ndarray] = []
     inner: list[int] = []
+    # one active term per forcing: the normalized map is the same at every r
+    # and the full pass keeps the power iteration's shapes
+    homogeneous = all(len(f.active_terms) == 1 for f in spec.f)
+    tols = np.full(points, SCAN_INNER_TOL if homogeneous else SCAN_SIGN_TOL)
     shape = _default_shape(grid_size)
     plan = QuadratureTable(shape.size)
     for j, r in enumerate(radii):
-        shape, _, delta, values[j], it = _shape_iteration(spec, float(r), shape, plan)
-        converged[j] = delta <= SCAN_INNER_TOL
-        shapes.append(shape)
+        shape, chain, deltas[j], values[j], it = _shape_iteration(
+            spec, float(r), shape, plan, tols[j]
+        )
+        # a re-run continues from the normalized image, an input that this
+        # radius has not tried yet, and so does the next radius
+        resumable[j] = not homogeneous and deltas[j] <= tols[j]
+        if resumable[j]:
+            shape = chain[0] / values[j]
+            # the loose shape's error in G could flip the sign of G - r
+            rerun[j] = abs(values[j] - r) <= SIGN_MARGIN * deltas[j] * max(values[j], r)
+        starts.append(shape)
         inner.append(it)
 
-    negative = np.signbit(values - radii)
-    crossings = np.flatnonzero(negative[:-1] != negative[1:])
+    # re-run those radii to SCAN_INNER_TOL, then each end of every bracket
+    # their values leave; G = 0 and G = inf read their sign exactly, and a
+    # shape iteration that missed SCAN_SIGN_TOL is not re-run
+    while True:
+        negative = np.signbit(values - radii)
+        flips = negative[:-1] != negative[1:]
+        rerun[:-1] |= flips
+        rerun[1:] |= flips
+        todo = np.flatnonzero(rerun & resumable)
+        if not todo.size:
+            break
+        for j in todo:
+            starts[j], _, deltas[j], values[j], it = _shape_iteration(
+                spec, float(radii[j]), starts[j], plan
+            )
+            inner[j] += it
+            tols[j] = SCAN_INNER_TOL
+            resumable[j] = False
+
+    crossings = np.flatnonzero(flips)
     brackets = tuple((float(radii[j]), float(radii[j + 1])) for j in crossings)
     roots: list[float] = []
     steps: list[int] = []
     solutions: list[SolutionBundle | None] = []
     for j, (lo, hi) in zip(crossings, brackets):
-        shape = shapes[j]
+        shape = starts[j]
         # bracket ends in x = log r with psi = log G - x, nan where G is 0 or inf
         x = [math.log(lo), math.log(hi)]
         psi = [
@@ -614,7 +685,7 @@ def norm_profile_scan(
     return NormProfile(
         radii=tuple(float(r) for r in radii),
         values=tuple(float(v) for v in values),
-        converged=tuple(bool(c) for c in converged),
+        converged=tuple(bool(c) for c in deltas <= tols),
         sign_changes=brackets,
         roots=tuple(roots),
         polish_steps=tuple(steps),

@@ -301,6 +301,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "bad.json", broken))
 
+    def test_unread_scan_fields_are_not_range_checked(self, tmp_path):
+        # uniqueness never scans, so a scan range it cannot use is no error
+        path = uniqueness_config(tmp_path, points=4, r_min=2.0, r_max=1.0)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    def test_scan_fields_are_range_checked_where_a_scan_runs(self, tmp_path, capsys):
+        data = {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS,
+                "M": 301, "r0": 1.0, "points": 4}
+        path = write_config(tmp_path, "m.json", data)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "need at least 8 scan points" in capsys.readouterr().err
+
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = load_config(uniqueness_config(tmp_path, N=2.0, k=[1.0, 1], M=301.0))
         assert cfg.spec == PowerSystemSpec(2, (1, 1), (0.5, 0.5))

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hessball import (
@@ -988,21 +988,34 @@ class TestNormProfileScan:
                 norm_profile_scan(SUBLINEAR, r_min, r_max, 16)
 
 
+def full_coarse_pass(spec, r_min, r_max, points, grid_size):
+    """The scan's coarse pass with every radius run to SCAN_INNER_TOL.
+
+    Each radius's shape iteration starts from the last radius's shape.
+    Returns (radii, values, converged, shapes, plan), plan the quadrature
+    plan it shared.
+    """
+    radii = np.logspace(math.log10(r_min), math.log10(r_max), points)
+    values = np.empty(points)
+    converged, shapes = [], []
+    shape = solver._default_shape(grid_size)
+    plan = QuadratureTable(grid_size)
+    for j, r in enumerate(radii):
+        shape, _, delta, values[j], _ = solver._shape_iteration(spec, float(r), shape, plan)
+        converged.append(delta <= solver.SCAN_INNER_TOL)
+        shapes.append(shape)
+    return radii, values, converged, shapes, plan
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
     """norm_profile_scan as first written, polishing by bisection in r.
 
     Returns (sign_changes, roots, solutions).
     """
-    radii = np.logspace(math.log10(r_min), math.log10(r_max), points)
-    values = np.empty(points)
-    shapes = []
-    shape = solver._default_shape(grid_size)
-    plan = QuadratureTable(grid_size)
-    for j, r in enumerate(radii):
-        shape, _, _, values[j], _ = solver._shape_iteration(spec, float(r), shape, plan)
-        shapes.append(shape)
-
+    radii, values, _, shapes, plan = full_coarse_pass(
+        spec, r_min, r_max, points, grid_size
+    )
     negative = np.signbit(values - radii)
     crossings = np.flatnonzero(negative[:-1] != negative[1:])
     brackets = tuple((float(radii[j]), float(radii[j + 1])) for j in crossings)
@@ -1023,6 +1036,52 @@ def reference_bisection_scan(spec, r_min, r_max, points, grid_size):
         accepted = defect <= solver.SCAN_INNER_TOL * mid
         solutions.append(chain if accepted else None)
     return brackets, tuple(roots), tuple(solutions)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_full_scan(spec, r_min, r_max, points, grid_size):
+    """norm_profile_scan before its sign-first pass.
+
+    full_coarse_pass, then the same Illinois polish from the lower end's
+    shape.  Returns (values, sign_changes, roots, accepted, converged).
+    """
+    radii, values, converged, shapes, plan = full_coarse_pass(
+        spec, r_min, r_max, points, grid_size
+    )
+    negative = np.signbit(values - radii)
+    crossings = np.flatnonzero(negative[:-1] != negative[1:])
+    brackets = tuple((float(radii[j]), float(radii[j + 1])) for j in crossings)
+    roots, accepted = [], []
+    for j, (lo, hi) in zip(crossings, brackets):
+        shape = shapes[j]
+        x = [math.log(lo), math.log(hi)]
+        psi = [math.log(g) - xe if 0 < g < math.inf else math.nan
+               for g, xe in zip(values[j : j + 2], x)]
+        step, last_end, ok = 0, None, False
+        while step < solver.POLISH_MAX_STEPS:
+            point = math.nan
+            if psi[0] != psi[1]:
+                point = x[0] - psi[0] * (x[1] - x[0]) / (psi[1] - psi[0])
+            if not x[0] < point < x[1]:
+                point = 0.5 * (x[0] + x[1])
+            if step and not x[0] < point < x[1]:
+                break
+            r = math.exp(point)
+            shape, chain, _, G, _ = solver._shape_iteration(spec, r, shape, plan)
+            step += 1
+            defect = math.inf if chain is None else sup_norm(chain[0] - r * shape)
+            ok = defect <= solver.SCAN_INNER_TOL * r
+            if ok:
+                break
+            end = 0 if np.signbit(G - r) == negative[j] else 1
+            x[end] = point
+            psi[end] = math.log(G) - point if 0 < G < math.inf else math.nan
+            if end == last_end:
+                psi[1 - end] *= 0.5
+            last_end = end
+        roots.append(r)
+        accepted.append(ok)
+    return values, brackets, tuple(roots), tuple(accepted), tuple(converged)
 
 
 # a two-term forcing whose log G - log r bends strongly across a wide
@@ -1083,6 +1142,97 @@ class TestPolishMatchesBisection:
         assert prof.values[j] == 0.0 or prof.values[j + 1] == math.inf
 
 
+# K = |G(r, phi) - G(r, phi*)| / (delta G) for a unit shape phi whose last
+# change was delta, phi* the settled shape: at most 60 wherever SIGN_MARGIN's
+# sweep measured it, and 60 on this forcing at N = 3, k = (1, 1), r = 28
+SHAPE_SENSITIVITY = 100.0
+STEEP_FORCING = NonlinearitySpec(((0.03, 0.0, 0.34), (0.03, 0.0, 3.99)))
+# roots at r = 1.326 and 1.77829 on either side of the radius 1.77828 of 33
+# over [1e-4, 1e4], where G/r - 1 = -1.0e-6 but its loose shape reads
+# +1.4e-6: the scan finds neither root unless SIGN_MARGIN re-runs it
+FOLD_FORCING = NonlinearitySpec(((13.042194084733172, 0.0, 0.6),
+                                 (13.042194084733172, 0.0, 3.5)))
+
+
+@st.composite
+def criterion9_systems(draw):
+    """Both equations forced by eps (v^a + v^b), a < 1 < b, as in criterion 9."""
+    N = draw(st.integers(2, 4))
+    k = (draw(st.integers(1, N)), draw(st.integers(1, N)))
+    eps = 10.0 ** draw(st.floats(-2.0, 0.0))
+    f = NonlinearitySpec(((eps, 0.0, draw(st.floats(0.2, 0.9))),
+                          (eps, 0.0, draw(st.floats(1.5, 4.0)))))
+    return SystemSpec(N, k, (f, f))
+
+
+def log_slope(spec, r, grid_size, h=1e-4):
+    """d log G / d log r at r: a central difference over converged shapes."""
+    plan = QuadratureTable(grid_size)
+    shape, logs = solver._default_shape(grid_size), []
+    for x in (-h, h):
+        shape, _, delta, G, _ = solver._shape_iteration(spec, r * math.exp(x), shape, plan)
+        assert delta <= solver.SCAN_INNER_TOL
+        logs.append(math.log(G))
+    return (logs[1] - logs[0]) / (2.0 * h)
+
+
+def assert_matches_full_scan(spec, r_min, r_max, points, grid_size):
+    """The sign-first scan's brackets, verdicts and roots are the full pass's.
+
+    Returns the scan, or None, comparing nothing, where the full pass's
+    shape iteration ran out of composites at a finite positive G: its sign
+    there is that of whatever iterate it stopped on, which no other pass
+    repeats.
+    """
+    values, brackets, roots, accepted, converged = reference_full_scan(
+        spec, r_min, r_max, points, grid_size
+    )
+    if not all(c or not 0 < g < math.inf for g, c in zip(values, converged)):
+        return None
+    prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=grid_size)
+    assert prof.sign_changes == brackets
+    assert tuple(s is not None for s in prof.solutions) == accepted
+    for got, want, ok in zip(prof.roots, roots, accepted):
+        if ok:
+            # an accepted stop has |A(v) - v| <= tau r for v = r phi, so
+            # |psi| <= tau and phi's last change is at most 2 tau, which
+            # moves G by at most 2 K tau G; psi = log G - log r has slope
+            # s - 1, so each root is within (1 + 2K) tau / |1 - s| of the
+            # zero of psi along settled shapes, and the two within twice that
+            s = log_slope(spec, want, grid_size)
+            bound = 2.0 * (1.0 + 2.0 * SHAPE_SENSITIVITY) * solver.SCAN_INNER_TOL
+            assert abs(math.log(got / want)) <= bound / abs(1.0 - s)
+    return prof
+
+
+class TestSignFirstMatchesFullScan:
+    """norm_profile_scan against reference_full_scan."""
+
+    @given(criterion9_systems(), st.integers(16, 48), st.just(301))
+    # the benchmark's multiplicity config
+    @example(SystemSpec(2, (1, 1), (MULT_FORCING,) * 2), 48, 1001)
+    @example(SystemSpec(3, (1, 1), (STEEP_FORCING,) * 2), 48, 301)
+    @example(SystemSpec(4, (1, 2), (FOLD_FORCING,) * 2), 33, 301)
+    def test_two_term_systems(self, spec, points, grid_size):
+        assume(assert_matches_full_scan(spec, 1e-4, 1e4, points, grid_size))
+
+    @given(rescalable_power_systems())
+    def test_pure_powers(self, spec):
+        eig = normalized_power_iteration(spec, dome(301), tol=solver.SCAN_INNER_TOL)
+        c = sup_norm(rescale_to_solution(spec, eig).v[0])
+        assume(assert_matches_full_scan(spec, c / 30, 30 * c, 16, 301))
+
+    @pytest.mark.parametrize("name", sorted(POLISH_SCANS))
+    def test_polish_scans(self, name):
+        assert assert_matches_full_scan(*POLISH_SCANS[name], 301)
+
+    def test_benchmark_scan_takes_fewer_composites(self):
+        # 198 composites with every radius run to SCAN_INNER_TOL
+        spec = SystemSpec(2, (1, 1), (MULT_FORCING,) * 2)
+        prof = assert_matches_full_scan(spec, 1e-4, 1e4, 48, 1001)
+        assert prof and sum(prof.inner_iterations) <= 130
+
+
 def record_composites(monkeypatch):
     """Every (input, chain) that goes through solver.apply_composite."""
     calls = []
@@ -1135,21 +1285,29 @@ class TestOneCompositePerStep:
         self, monkeypatch, spec, r_min, r_max, points
     ):
         calls = record_composites(monkeypatch)
-        inner = []
+        inner = []  # (r, composites) of every shape iteration, in call order
         shape_iteration = solver._shape_iteration
 
-        def counting(*args, **kwargs):
-            out = shape_iteration(*args, **kwargs)
-            inner.append(out[-1])
+        def counting(spec, r, *args, **kwargs):
+            out = shape_iteration(spec, r, *args, **kwargs)
+            inner.append((r, out[-1]))
             return out
 
         monkeypatch.setattr(solver, "_shape_iteration", counting)
         prof = norm_profile_scan(spec, r_min, r_max, points, grid_size=301)
         assert prof.roots
-        assert len(calls) == sum(inner)
-        # one inner iteration per coarse radius, then one per polish point
-        assert len(inner) - points == sum(prof.polish_steps)
-        assert prof.inner_iterations == tuple(inner)
+        assert len(calls) == sum(it for _, it in inner)
+        # one shape iteration per coarse radius, at most one re-run of each
+        # radius, then one per polish point; a re-run adds to its radius's entry
+        coarse = inner[:points]
+        assert [r for r, _ in coarse] == list(prof.radii)
+        reruns = inner[points : len(inner) - sum(prof.polish_steps)]
+        assert len({r for r, _ in reruns}) == len(reruns)
+        per_radius = dict(coarse)
+        for r, it in reruns:
+            per_radius[r] += it
+        polish = tuple(it for _, it in inner[points + len(reruns) :])
+        assert prof.inner_iterations == tuple(per_radius.values()) + polish
 
 
 @pytest.fixture
