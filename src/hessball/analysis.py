@@ -215,17 +215,21 @@ def upper_bound_check(
 def chain_contraction_bound(spec: SystemSpec) -> float:
     """Explicit upper bound for ||composite(v)|| / ||v||^rho on unit-norm input.
 
-    Composing the per-equation sup bound ||A_j(w)|| <= P_j ||w||^{gamma_j/k_j}
-    through the cycle gives prod_j P_j^{e_j} with e_1 = 1 and
+    With t^p <= 1 on [0, 1], f_j(t, w) <= C_j ||w||^{gamma_j}, C_j the sum of
+    f_j's coefficients, so the per-equation sup bound is ||A_j(w)|| <=
+    P_j C_j^{1/k_j} ||w||^{gamma_j/k_j}.  Composing it through the cycle
+    gives prod_j (P_j C_j^{1/k_j})^{e_j} with e_1 = 1 and
     e_j = (gamma_1...gamma_{j-1})/(k_1...k_{j-1}).  For homogeneity ratio 1
-    this number bounds the contraction factor of the composite map and is
-    strictly below 1, which is what rules out nonzero fixed points.
+    this number bounds the contraction factor of the composite map; below 1
+    it rules out nonzero fixed points, as it always is for unit pure powers.
     """
     gamma = _power_exponents(spec, "chain_contraction_bound")
     bound = 1.0
     exponent = 1.0
     for j in range(spec.n):
-        bound *= upper_bound_prefactor(spec.k[j], spec.N) ** exponent
+        total = sum(c for c, _, _ in spec.f[j].active_terms)
+        factor = upper_bound_prefactor(spec.k[j], spec.N) * total ** (1.0 / spec.k[j])
+        bound *= factor**exponent
         exponent *= gamma[j] / spec.k[j]
     return bound
 
@@ -464,7 +468,10 @@ class SublinearityReport:
 def sublinearity_check(
     spec: SystemSpec, v: GridFunction, xi: float
 ) -> SublinearityReport:
-    """Measure the comparison sandwich and the strict downscaling gain."""
+    """Measure the comparison sandwich and the strict downscaling gain.
+
+    Needs spec.gamma, and reads rho off it: any coefficients and t-weights.
+    """
     _power_exponents(spec, "sublinearity_check")
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")

@@ -2,25 +2,30 @@
 
 Each scenario maps one solvability question to a fixed recipe:
 
-* existence     -- classify growth, then solve and verify: a pure power by
-                   one power iteration and the closed-form rescale
-                   c = mu^{1/(1-rho)}, other sublinear systems by Picard, and
-                   other superlinear ones by norm-profile scan;
+* existence     -- classify growth, then solve and verify: a system with
+                   one exponent per equation (spec.gamma set) by one power
+                   iteration and the closed-form rescale c = mu^{1/(1-rho)},
+                   other sublinear systems by Picard, and other superlinear
+                   ones by norm-profile scan;
 * multiplicity  -- threshold chains plus a scan expected to bracket two
                    solution norms, both polished and verified;
-* uniqueness    -- the power iteration and rescale from 1 - t^2 and from
-                   random starts, which must agree, and the sublinearity
-                   report;
-* nonexistence  -- contraction factor mu with a Collatz-Wielandt bracket
-                   below 1, which proves that every cone start collapses,
-                   and its explicit upper bound;
-* eigenvalue    -- invariant shape, lambda0 in a Collatz-Wielandt bracket,
-                   and multiplier-product checks;
+* uniqueness    -- for one exponent per equation and ratio below 1, the
+                   power iteration and rescale from 1 - t^2 and from random
+                   starts, which must agree, and the sublinearity report;
+* nonexistence  -- for one exponent per equation and ratio 1, contraction
+                   factor mu with a Collatz-Wielandt bracket below 1, which
+                   proves that every cone start collapses, and its explicit
+                   upper bound;
+* eigenvalue    -- for one exponent per equation and ratio 1, invariant
+                   shape, lambda0 in a Collatz-Wielandt bracket, and
+                   multiplier-product checks;
 * bounds        -- window-constant and prefactor tables plus spot checks of
                    the lower/upper operator bounds;
 * verify        -- re-verification of a solution CSV produced earlier.
 
-No pure power is scanned: its chain is rho-homogeneous on the grid, so the
+Every gate on homogeneity reads spec.gamma, the one exponent gamma_i > 0
+shared by every active term of f_i (coefficients and t-weights allowed).
+No such system is scanned: its chain is rho-homogeneous on the grid, so the
 scan's G(r) = ||A(r phi)|| = r^rho mu has the rescale's c as its only root.
 
 Configuration is a single JSON file; all tolerances and ranges ride in it.
@@ -426,9 +431,9 @@ def _power_rescale(
 def _solve_by_rescale(run: _Run) -> SolutionBundle | None:
     """Record `power_rescale` from 1 - t^2; its bundle if the record passed.
 
-    A pure power is rho-homogeneous on the grid, so c phi is a fixed point
-    whose relative defect is shape_delta, on either side of ratio 1: no
-    fixed point is too small or too large.
+    A system with spec.gamma set is rho-homogeneous on the grid, so c phi
+    is a fixed point whose relative defect is shape_delta, on either side
+    of ratio 1: no fixed point is too small or too large.
     """
     cfg = run.config
     eig, bundle = _power_rescale(cfg)
@@ -486,10 +491,17 @@ def _scenario_multiplicity(run: _Run) -> None:
 
 
 def _scenario_uniqueness(run: _Run) -> None:
+    """Uniqueness for one exponent per equation and ratio below 1.
+
+    The composite is then monotone and rho-homogeneous on the grid, with
+    any coefficients and t-weights, and such a map with rho < 1 has at most
+    one cone fixed point (rescale_to_solution): every start must rescale to
+    the same profile, and the downscaling gain must be positive.
+    """
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) >= 0:
-        return _unmet(run, "uniqueness needs a power system with ratio below 1")
+        return _unmet(run, "uniqueness needs one exponent per equation, ratio below 1")
 
     bundle = _solve_by_rescale(run)
     if bundle is None:
@@ -525,9 +537,9 @@ def _scenario_nonexistence(run: _Run) -> None:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
-        return _unmet(run, "nonexistence needs a power system with ratio exactly 1")
+        return _unmet(run, "nonexistence needs one exponent per equation and ratio 1")
 
-    eig, _ = _power_rescale(cfg)  # ratio 1: no rescale
+    eig = normalized_power_iteration(spec, GridFunction(_default_shape(cfg.M)), cfg.tol)
     bound = chain_contraction_bound(spec)
     # The composite is monotone and 1-homogeneous, so A(phi) <= hi phi off
     # t = 1 gives A^n(v) <= c hi^n phi for every cone start v <= c phi: an
@@ -546,11 +558,9 @@ def _scenario_eigenvalue(run: _Run) -> None:
     cfg = run.config
     spec = cfg.spec
     if spec.gamma is None or unit_ratio_sign(spec.homogeneity_ratio) != 0:
-        return _unmet(
-            run, "eigenvalue scenario needs a power system with ratio exactly 1"
-        )
+        return _unmet(run, "eigenvalue needs one exponent per equation and ratio 1")
 
-    eig, _ = _power_rescale(cfg)  # ratio 1: no rescale
+    eig = normalized_power_iteration(spec, GridFunction(_default_shape(cfg.M)), cfg.tol)
     lo, hi = eig.mu_bounds
     # the two-grid estimate is a finding: only the bracket and status gate
     run.record(

@@ -179,24 +179,28 @@ class SystemSpec:
 
     @property
     def gamma(self) -> tuple[float, ...] | None:
-        """Exponents gamma_i when every forcing is exactly v**gamma_i, else None.
+        """Exponent gamma_i > 0 shared by every active term of f_i, else None.
 
-        The pure-power results (rescale_to_solution, sublinearity_check,
-        chain_contraction_bound and the lambda_* helpers) need it set.
+        Set exactly when each forcing is sum_j c_j t^{p_j} v^{gamma_i}, so
+        f_i(t, s v) = s^{gamma_i} f_i(t, v) whatever the coefficients and
+        t-weights; None when a forcing mixes exponents or is free of v.
+        This is the one homogeneity test: the rescale, the scan,
+        sublinearity_check, chain_contraction_bound, the lambda_* helpers
+        and the scenario gates all read it.
         """
         gamma = []
         for f in self.f:
-            terms = f.active_terms
-            if len(terms) != 1 or terms[0][:2] != (1.0, 0.0) or terms[0][2] <= 0:
+            exponents = {g for _, _, g in f.active_terms}
+            if len(exponents) != 1 or 0.0 in exponents:
                 return None
-            gamma.append(terms[0][2])
+            gamma.extend(exponents)
         return tuple(gamma)
 
     @property
     def homogeneity_ratio(self) -> float | None:
         """prod(gamma) / prod(k); the composite map scales norms by this power.
 
-        None unless the system is a pure-power one (see gamma).
+        None unless gamma is set.
         """
         gamma = self.gamma
         if gamma is None:
@@ -220,10 +224,10 @@ def unit_ratio_sign(ratio: float) -> int:
 
 
 def _power_exponents(spec: SystemSpec, what: str) -> tuple[float, ...]:
-    """spec.gamma, or a ValueError saying that `what` needs a pure-power system."""
+    """spec.gamma, or a ValueError: `what` needs one exponent per equation."""
     gamma = spec.gamma
     if gamma is None:
-        raise ValueError(f"{what} needs a pure-power system (every forcing v**gamma_i)")
+        raise ValueError(f"{what} needs one exponent per equation (c t**p v**gamma_i)")
     return gamma
 
 

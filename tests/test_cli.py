@@ -111,6 +111,12 @@ def exit_code_follows_report(monkeypatch):
     assert not mismatches, "exit code or grid differs from the report's"
 
 
+# one exponent per equation with coefficients and t-weights: ratio 0.42,
+# and ratio 1 with exponents (1, 2)
+WEIGHTED_TERMS = [[[3, 0, 0.7], [0.2, 1, 0.7]], [[1, 0.5, 1.2], [0.5, 0, 1.2]]]
+RATIO_ONE_WEIGHTED_TERMS = [[[3, 0, 1.0], [0.2, 1, 1.0]], [[1, 0.5, 2.0], [0.5, 0, 2.0]]]
+
+
 def write_config(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -486,6 +492,31 @@ class TestExitCodes:
         assert kinds == ["run_config", "contraction"]
         assert lines == reference[:1] + reference[2:]
 
+    @pytest.mark.parametrize(
+        "scenario, terms",
+        [
+            ("uniqueness", WEIGHTED_TERMS),
+            ("nonexistence", RATIO_ONE_WEIGHTED_TERMS),
+            ("eigenvalue", RATIO_ONE_WEIGHTED_TERMS),
+        ],
+    )
+    def test_weighted_systems_meet_the_ratio_hypotheses(
+        self, tmp_path, monkeypatch, scenario, terms
+    ):
+        # coefficients and t-weights keep one exponent per equation, so
+        # the gates read spec.gamma and neither Picard nor the scan runs
+        def not_called(*args, **kwargs):
+            raise RuntimeError("picard_solve or norm_profile_scan called")
+
+        monkeypatch.setattr(hessball.cli, "picard_solve", not_called)
+        monkeypatch.setattr(hessball.cli, "norm_profile_scan", not_called)
+        data = {"scenario": scenario, "N": 3, "k": [1, 2], "terms": terms,
+                "M": 301, "starts": 2, "seed": 1}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, "w.json", data), "--out", str(out),
+                     "--quiet"]) == 0
+        assert all(r["pass"] is not False for r in read_records(out))
+
     def test_gamma_and_terms_spellings_agree(self, tmp_path):
         # v^{1/2} written as a pure power and as one explicit term
         outs = []
@@ -522,18 +553,25 @@ class TestExitCodes:
             ),
             ({"N": 3, "k": [1, 1], "gamma": [2, 2]}, "power_rescale"),
             ({"N": 2, "k": [1, 1], "terms": [[[1, 0, 2], [1, 0, 3]]] * 2}, 1),
+            ({"N": 3, "k": [1, 2], "terms": WEIGHTED_TERMS}, "power_rescale"),
+            # Picard read this fixed point, of norm 4.8e-129, as a collapse
+            ({"N": 2, "k": [1, 1], "terms": [[[1e-6, 0, 0.9]], [[1e-6, 0, 1.0]]]},
+             "power_rescale"),
         ],
         ids=["C1-picard", "C1-power-rescale", "C3-scan", "C2-power-rescale",
-             "C2-scan"],
+             "C2-scan", "C1-weighted-power-rescale", "C1-tiny-coefficient"],
     )
     def test_existence_succeeds(self, tmp_path, monkeypatch, system, expected):
         if isinstance(expected, str):
-            # a pure power is solved by the rescale on either side of ratio
-            # 1, any other C1 system by Picard, and neither is scanned
-            def no_scan(*args, **kwargs):
-                raise RuntimeError("norm_profile_scan called")
+            # one exponent per equation is solved by the rescale on either
+            # side of ratio 1, any other C1 system by Picard, and neither is
+            # scanned
+            def not_called(*args, **kwargs):
+                raise RuntimeError("solver called")
 
-            monkeypatch.setattr(hessball.cli, "norm_profile_scan", no_scan)
+            monkeypatch.setattr(hessball.cli, "norm_profile_scan", not_called)
+            if expected == "power_rescale":
+                monkeypatch.setattr(hessball.cli, "picard_solve", not_called)
         path = write_config(
             tmp_path, "x.json", {"scenario": "existence", "M": 301, **system}
         )

@@ -213,12 +213,12 @@ class TestPowerSystemSpec:
             (NonlinearitySpec(((1.0, 0.0, 1.5),)), NonlinearitySpec(((1.0, 0.0, 0.5),))),
         )
         assert spec.gamma == (1.5, 0.5)
-        # two terms per forcing: not a pure-power system
+        # two exponents per forcing: no gamma
         mult = SystemSpec(2, (1, 1), tuple(NonlinearitySpec(eq) for eq in MULT_TERMS))
         assert mult.gamma is None and mult.homogeneity_ratio is None
-        # a constant factor other than 1 leaves the pure-power family
+        # a constant factor keeps one exponent per equation
         scaled = lambda_scaled_system(PowerSystemSpec(3, (1, 1), (1.0, 1.0)), (2.0, 1.0))
-        assert scaled.gamma is None
+        assert scaled.gamma == (1.0, 1.0)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

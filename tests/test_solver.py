@@ -34,7 +34,7 @@ from hessball import (
     verify_solution,
 )
 from hessball import operators, solver
-from hessball.core import NonFiniteError, _values
+from hessball.core import NonFiniteError, _values, unit_ratio_sign
 from richardson import richardson_order
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
@@ -958,6 +958,22 @@ class TestNormProfileScan:
         assert overflowed and overflowed[-1] == len(wide.radii) - 1
         assert not any(wide.converged[j] for j in overflowed)
 
+    def test_polish_ends_at_an_unsettled_shape(self):
+        # radii 20 and 21 run out of composites, and the sign flips around
+        # them open two brackets whose polish points cannot settle either:
+        # each polish ends unaccepted at its first point, where it used to
+        # run 47 and 39 points of SCAN_MAX_INNER composites (26532 in all)
+        f = NonlinearitySpec(((0.0816, 0.0, 0.4946), (0.0816, 0.0, 3.1625)))
+        spec = SystemSpec(4, (1, 1), (f, f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            prof = norm_profile_scan(spec, 1e-4, 1e4, 28, grid_size=301)
+        r = prof.radii
+        assert prof.sign_changes == tuple((r[j], r[j + 1]) for j in (20, 21, 23))
+        assert [j for j, ok in enumerate(prof.converged) if not ok] == [20, 21]
+        assert tuple(s is not None for s in prof.solutions) == (False, False, True)
+        assert prof.polish_steps[:2] == (1, 1)
+        assert sum(prof.inner_iterations) <= 2000
+
     # the seed-1 benchmark system whose fixed point has norm 1.7e-14 at M = 1001
     @given(rescalable_power_systems())
     @example(PowerSystemSpec(3, (1, 2), (1.39391119007645, 1.2288555668292651)))
@@ -1442,8 +1458,10 @@ class TestLambdaMachinery:
 
 
 class TestPurePowerPreconditions:
-    # 2 v^0.5 is a power of v, but not exactly v**gamma, so spec.gamma is None
-    TWO_ROOT = SystemSpec(2, (1, 1), (NonlinearitySpec(((2.0, 0.0, 0.5),)),) * 2)
+    # v^0.5 + t v^1.5 mixes exponents, so spec.gamma is None
+    MIXED = SystemSpec(
+        2, (1, 1), (NonlinearitySpec(((1.0, 0.0, 0.5), (1.0, 1.0, 1.5))),) * 2
+    )
     EIG = EigenResult(
         shape=dome(101), mu=1.0, mu_bounds=(1.0, 1.0), lambda0=1.0, shape_delta=0.0,
         iterations=1, coarse_iterations=0, coarse_lambda0=None,
@@ -1470,9 +1488,64 @@ class TestPurePowerPreconditions:
         ],
     )
     def test_needs_a_pure_power_system(self, call):
-        assert self.TWO_ROOT.gamma is None
-        with pytest.raises(ValueError, match="needs a pure-power system"):
-            call(self.TWO_ROOT, self.EIG)
+        assert self.MIXED.gamma is None
+        with pytest.raises(ValueError, match="needs one exponent per equation"):
+            call(self.MIXED, self.EIG)
+
+
+@st.composite
+def one_exponent_systems(draw, ratios=st.floats(0.2, 1.5)):
+    """Forcings of 1-3 terms c t^p v^b_i sharing one exponent b_i per equation.
+
+    c in [1e-2, 1e2], p in {0, 0.5, 1, 2}; draw_degrees draws N, k and b.
+    """
+    N, k, b = draw_degrees(draw, ratios)
+    forcings = []
+    for bi in b:
+        terms = draw(st.lists(
+            st.tuples(st.floats(1e-2, 1e2), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+            min_size=1, max_size=3,
+        ))
+        forcings.append(NonlinearitySpec(tuple((c, p, bi) for c, p in terms)))
+    return SystemSpec(N, k, tuple(forcings))
+
+
+def with_term(spec, term):
+    """spec with term appended to every forcing."""
+    forcings = tuple(NonlinearitySpec(f.terms + (term,)) for f in spec.f)
+    return SystemSpec(spec.N, spec.k, forcings)
+
+
+class TestOneExponentPerEquation:
+    """gamma is set by the shared exponent, whatever the coefficients and t-weights."""
+
+    @given(one_exponent_systems())
+    def test_gamma_is_the_shared_exponent(self, spec):
+        gamma = tuple(f.terms[0][2] for f in spec.f)
+        assert spec.gamma == gamma
+        assert spec.homogeneity_ratio == float(np.prod(gamma) / np.prod(spec.k))
+        # a zero-coefficient term with another exponent is not active
+        assert with_term(spec, (0.0, 0.0, gamma[0] + 1.0)).gamma == gamma
+        mixed = with_term(spec, (1.0, 0.0, gamma[0] + 1.0))
+        assert mixed.gamma is None and mixed.homogeneity_ratio is None
+
+    @given(one_exponent_systems(st.floats(0.2, 0.95) | st.floats(1.05, 4.0)))
+    def test_rescaled_defect_is_shape_delta(self, spec):
+        # A(c phi) = c^rho mu phi' = c phi' on the grid, so the relative
+        # defect of the rescaled bundle is the shape's own last change
+        eig = normalized_power_iteration(spec, dome(301), tol=1e-10)
+        bundle = rescale_to_solution(spec, eig)
+        assert eig.status is IterationStatus.CONVERGED and bundle is not None
+        c = eig.mu ** (1.0 / (1.0 - spec.homogeneity_ratio))
+        start = c * eig.shape.values
+        defect = np.max(np.abs(bundle.v[0].values - start)) / np.max(start)
+        assert abs(defect - eig.shape_delta) <= 1e-12
+
+    @given(one_exponent_systems(st.just(1.0)))
+    def test_unit_ratio_mu_is_within_the_bound(self, spec):
+        assert unit_ratio_sign(spec.homogeneity_ratio) == 0
+        eig = normalized_power_iteration(spec, dome(301), tol=1e-10)
+        assert eig.mu <= chain_contraction_bound(spec)
 
 
 class TestCompositeMonotonicity:
