@@ -29,6 +29,21 @@ Every other value falls back:
     pieces of Dekker's splits of x and hi stay far above the subnormals;
   - a value whose exponent is still not settled after one correction
     lies within the error of a power of ten.
+
+Bytes.  Every value gets one row of 32 bytes, laid out for all it could
+print:
+  2..6    the lead of 0.ddd to 0.000ddd: '0.' and up to three zeros
+  6, 7    the first digit and a point, or the first digit at 7 after a lead
+  8..23   digits 2 to 17 as four uint32 words, one table lookup for each
+          four digits
+  24, 25  'e' and the exponent's sign
+  27      the point of a fixed-notation value with digits after it and
+          X >= 1, which one gather moves to just after digit X + 1
+  28..31  the three digits of |X|, then the separator, ',' or a newline
+A row starts as its layout, chosen by exponent class, digit count and
+separator: the bytes it prints of the text above, 0xFF where a digit goes
+and 0 where it prints nothing.  The digit words are ANDed in, and the
+writer deletes the zero bytes.
 """
 
 from __future__ import annotations
@@ -70,69 +85,100 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 
 _TEN_HI, _TEN_HEAD, _TEN_TAIL, _TEN_LO = _powers_of_ten()
 
-# Every value gets one row of _WIDTH bytes, laid out for all it could print:
-#   1..5    '0.000', the lead of 0.000ddd
-#   6, 7    the first digit and a point
-#   8..39   digits 2 to 17, each followed by a point
-#   40, 41  'e' and the exponent's sign
-#   44..47  the three digits of |X|, then the separator, ',' or a newline
-# A row starts as its layout: the bytes it prints of the text above, 0xFF
-# where a digit goes and 0 where it prints nothing.  The digits are ANDed
-# in a uint32 word at a time, and the writer deletes the zero bytes.
-_WIDTH = 48
-_FIRST = 6  # byte column of the first digit; word 1 holds it
-_E, _EXP, _SEP = 40, 44, 47  # byte columns
+# byte columns of a row; see the module docstring
+_WIDTH = 32
+_E, _POINT, _EXP, _SEP = 24, 27, 28, 31
 _FILL = 255  # a layout byte that a digit word fills in
 
 
-def _words(rows) -> np.ndarray:
+def _words(rows: np.ndarray) -> np.ndarray:
     """Rows of four bytes as native uint32 words."""
     return np.asarray(rows, dtype=np.uint8).view(np.uint32).ravel()
 
 
-_FIRSTS = _words([[_FILL, _FILL, 48 + d, 46] for d in range(10)])  # keeps 0.000's last 00
-_PAIRS = _words([[48 + p // 10, 46, 48 + p % 10, 46] for p in range(100)])
-_EXPONENTS = _words([[48 + e // 100, 48 + e // 10 % 10, 48 + e % 10, 255]
-                     for e in range(_X_MAX + 1)])
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """The words of the first digit, of four digits and of the exponent,
+    and the trailing zeros of each four digits.
+
+    The first digit's word covers bytes 4..7: rows 0..9 put digit d at
+    byte 6, rows 10..19 at byte 7, and the rest of the word keeps the
+    layout.  Quad q is the ASCII of f"{q:04d}"; its trailing zeros are
+    those of that text, 4 for q = 0.  Exponent e is its three ASCII
+    digits and a byte that keeps the separator.
+    """
+    d = np.arange(10)
+    first = np.full((20, 4), _FILL)
+    first[d, 2] = 48 + d
+    first[10 + d, 3] = 48 + d
+    # int16 and in-place steps keep the temporaries under 100 kB: heap
+    # memory freed at import may stay resident and raise a run's peak RSS
+    q = np.arange(10**4, dtype=np.int16)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int16)  # the thousands first
+    quads = q // place
+    quads %= 10
+    quads += 48
+    trailing = (q % (10 * place) == 0).sum(axis=1, dtype=np.int8)
+    e = np.arange(_X_MAX + 1, dtype=np.int16)[:, None]
+    exponents = np.hstack([48 + e // place[1:] % 10, np.full_like(e, _FILL)])
+    return _words(first), _words(quads), trailing, _words(exponents)
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """The layout class of each exponent X, and the layout row of each
-    (class, significant digits, separator) triple in that order.
+_FIRSTS, _QUADS, _TRAILING, _EXPONENTS = _digit_tables()
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout class of each exponent X; the layout row of each
+    (class, significant digits, separator) triple in that order; and the
+    byte order that puts the point after digit X + 1 of class X.
 
     Classes: 0..16 are fixed notation with X = class; 17..20 are
     0.000ddd with X = 16 - class; 21..24 are exponent notation with
-    '+' or '-' and two or three exponent digits.
+    '+' or '-' and two or three exponent digits.  A fixed row of class
+    X >= 1 with more than X + 1 digits holds its point at byte _POINT;
+    its byte order moves that point after digit X + 1, at byte 8 + X,
+    and the digits after it one byte right.
     """
     exponents = np.arange(_X_MIN, _X_MAX + 1)
     classes = np.where(
         exponents >= 0,
         np.where(exponents < 17, exponents, np.where(exponents < 100, 21, 22)),
         np.where(exponents >= -4, 16 - exponents, np.where(exponents > -100, 23, 24)),
+    ).astype(np.int32)
+    cls = np.arange(25, dtype=np.int8)[:, None, None]
+    count = np.arange(1, 18, dtype=np.int8)[None, :, None]
+    byte = np.arange(_WIDTH, dtype=np.int8)
+    fixed, lead, power = cls < 17, (cls > 16) & (cls < 21), cls > 20
+    shown = np.where(fixed, np.maximum(count, cls + 1), count)
+    rows = np.select(
+        [
+            (byte == 6 + lead) | ((byte >= 8) & (byte < 7 + shown)),  # the digits
+            (byte == 7) & (count > 1) & ((cls == 0) | power),  # d.ddd
+            (byte == _POINT) & fixed & (cls > 0) & (count > cls + 1),  # for _INNER
+            lead & (byte == 23 - cls),  # the point of 0.000ddd
+            lead & (byte >= 22 - cls) & (byte < 7),  # its zeros
+            power & (byte == _E),
+            power & (byte == _E + 1),
+            power & (byte >= _EXP + cls % 2) & (byte < _SEP),  # the exponent
+        ],
+        [np.uint8(c) for c in (_FILL, *b"...0e")]
+        + [np.where(cls < 23, *b"+-").astype(np.uint8), np.uint8(_FILL)],
+        np.uint8(0),
     )
-    rows = []
-    for cls in range(25):
-        for count in range(1, 18):
-            row = bytearray(_WIDTH)
-            shown = count
-            if cls < 17:  # ddd.ddd
-                shown = max(count, cls + 1)
-                if count > cls + 1:
-                    row[_FIRST + 1 + 2 * cls] = _FILL
-            elif cls < 21:  # 0.000ddd
-                row[1 : cls - 14] = b"0.000"[: cls - 15]
-            else:  # d.ddde+XX
-                if count > 1:
-                    row[_FIRST + 1] = _FILL
-                row[_E : _E + 2] = b"e+" if cls < 23 else b"e-"
-                row[_EXP + cls % 2 : _SEP] = bytes([_FILL]) * (3 - cls % 2)
-            row[_FIRST : _FIRST + 2 * shown : 2] = bytes([_FILL]) * shown
-            rows += [row[:_SEP] + b",", row[:_SEP] + b"\n"]
-    layouts = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, _WIDTH)
-    return classes, layouts
+    rows = np.repeat(rows[:, :, None], 2, axis=2)
+    rows[..., _SEP] = [ord(","), ord("\n")]
+
+    X = np.arange(17)[:, None]
+    moves = X > 0
+    order = np.select(
+        [moves & (byte == 8 + X), moves & (byte > 8 + X) & (byte <= _E),
+         moves & (byte == _POINT)],
+        [_POINT, byte - 1, _POINT - 1],  # _POINT - 1 is 0 in every fixed row
+        byte,
+    ).astype(np.uint8)
+    return classes, rows.reshape(-1, _WIDTH), order
 
 
-_CLASS, _LAYOUTS = _layouts()
+_CLASS, _LAYOUTS, _INNER = _layouts()
 
 
 def _scaled(x: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,44 +217,46 @@ def _digits17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return whole, X, good
 
 
+def _fallback(x: float) -> bytes:
+    """Python's '%.17g' % x, for a value the kernel does not decide."""
+    return b"%.17g" % x
+
+
 def _text(block: np.ndarray) -> np.ndarray:
     """One row of _WIDTH bytes per value: its text, separator and zeros."""
     values = block.ravel()
     whole, X, good = _digits17(values)
     whole = whole.view(np.uint64)  # unsigned division is the faster
     upper = whole // 10**8
+    lower = (whole - upper * 10**8).astype(np.int32)
+    upper = upper.astype(np.int32)
     first = upper // 10**8
-    # the first digit, then the eight digit pairs
-    pairs = [first]
-    for half in (upper - first * 10**8, whole - upper * 10**8):
-        half = half.astype(np.int32)
+    quads = []  # digits 2..5, 6..9, 10..13 and 14..17
+    for half in (upper - first * 10**8, lower):
         top = half // 10**4
-        for quad in (top, half - top * 10**4):
-            top = quad // 100
-            pairs += [top, quad - top * 100]
+        quads += [top, half - top * 10**4]
 
     # significant digits: 17 less the trailing zeros
-    shown = 17 - (pairs[-1] % 10 == 0)
-    ends = np.flatnonzero(pairs[-1] == 0)  # rarer: look left of a zero last pair
-    if ends.size:
-        count = np.full(ends.size, 15)
-        trailing = np.ones(ends.size, dtype=bool)
-        for pair in pairs[-2:0:-1]:  # the first digit is never 0
-            pair = pair[ends]
-            for digit in (pair % 10, pair // 10):
-                trailing &= digit == 0
-                count -= trailing
-        shown[ends] = count
+    shown = 17 - _TRAILING.take(quads[3])
+    ends = np.flatnonzero(quads[3] == 0)  # rarer: look left of a zero last quad
+    for quad in quads[2::-1]:  # the first digit is never 0
+        quad = quad[ends]
+        shown[ends] -= _TRAILING.take(quad)
+        ends = ends[quad == 0]
 
+    cls = _CLASS.take(X - _X_MIN)
     newline = np.arange(values.size) % block.shape[1] == block.shape[1] - 1
-    text = _LAYOUTS.take((_CLASS.take(X - _X_MIN) * 17 + shown - 1) * 2 + newline, axis=0)
+    text = _LAYOUTS.take((cls * 17 + shown - 1) * 2 + newline, axis=0)
     words = text.view(np.uint32)
-    words[:, 1] &= _FIRSTS.take(first)
-    for column, pair in enumerate(pairs[1:], start=2):
-        words[:, column] &= _PAIRS.take(pair)
+    words[:, 1] &= _FIRSTS.take(first + 10 * ((cls > 16) & (cls < 21)))
+    for column, quad in enumerate(quads, start=2):
+        words[:, column] &= _QUADS.take(quad)
     words[:, _EXP // 4] &= _EXPONENTS.take(np.abs(X))
+    inner = np.flatnonzero(text[:, _POINT])
+    if inner.size:
+        text[inner] = np.take_along_axis(text[inner], _INNER.take(X[inner], axis=0), axis=1)
     for i in np.flatnonzero(~good):
-        fallback = b"%.17g" % values[i]
+        fallback = _fallback(values[i])
         text[i, :_SEP] = 0
         text[i, : len(fallback)] = np.frombuffer(fallback, dtype=np.uint8)
     return text

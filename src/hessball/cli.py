@@ -255,10 +255,12 @@ def _jsonable(obj):
 
 
 # Rows per block of the CSV writer, whose temporaries scale with it: with
-# three columns they peak near 0.53 MB at 1024 rows (tracemalloc), 0.27 MB
-# at 512 and 2.0 MB at 4096.  Larger blocks write a 64001 x 3 solution no
-# faster: best of 7, 37 ms at 1024 rows, 36 ms at 4096 and 41 ms at 512
-# (2-vCPU Xeon VM).
+# three columns format_rows peaks at 0.40 MB at 1024 rows (tracemalloc),
+# 0.20 MB at 512, 0.79 MB at 2048 and 1.59 MB at 4096.  Formatting a
+# 64001 x 3 solution, best of 21 (2-vCPU Xeon VM): 19 ms at 1024 rows,
+# 23-26 ms at 512, 16-17 ms at 2048 and 21-22 ms at 4096.  2048 would
+# double the temporaries for about a tenth of the time, which is not yet
+# measured against peak_rss_mb.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -287,7 +289,8 @@ def _read_solution_csv(config: ScenarioConfig) -> np.ndarray:
         raise ConfigError(f"solution CSV needs at least {MIN_GRID_POINTS} rows")
     if data.shape[1] != n + 1:
         raise ConfigError(f"solution CSV needs columns t, v_1..v_{n}")
-    if not np.allclose(data[:, 0], grid_points(len(data)), rtol=0.0, atol=1e-12):
+    # a NaN or inf makes the comparison false
+    if not np.abs(data[:, 0] - grid_points(len(data))).max() <= 1e-12:
         raise ConfigError("solution CSV must sample the uniform grid on [0, 1]")
     return data
 

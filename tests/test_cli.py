@@ -1201,7 +1201,8 @@ class TestVerifyScenario:
         )
         assert not (tmp_path / "vout").exists()
 
-    @pytest.mark.parametrize("fault", ["missing", "header-only", "columns", "off-grid"])
+    @pytest.mark.parametrize(
+        "fault", ["missing", "header-only", "columns", "off-grid", "nan-grid", "off-by-2e-12"])
     def test_bad_csv_fails_before_any_output(self, tmp_path, capsys, fault):
         t = grid_points(101)
         data = np.column_stack([t, 1.0 - t * t, 1.0 - t * t])
@@ -1213,7 +1214,7 @@ class TestVerifyScenario:
         elif fault == "columns":
             csv = self._rewritten(tmp_path, data[:, :2])
         else:
-            data[50, 0] += 3e-6
+            data[50, 0] += {"off-grid": 3e-6, "nan-grid": np.nan, "off-by-2e-12": 2e-12}[fault]
             csv = self._rewritten(tmp_path, data)
         assert self._verify(tmp_path, csv, quiet=False) == 2
         captured = capsys.readouterr()

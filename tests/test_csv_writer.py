@@ -1,14 +1,17 @@
 """The solution-CSV writer's bytes against np.savetxt(fmt="%.17g"), the reference."""
 
 import io
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hessball import _g17
 from hessball._g17 import _digits17, format_rows
 from hessball.cli import _write_csv
+from hessball.core import grid_points
 
 
 def savetxt_bytes(data: np.ndarray) -> bytes:
@@ -127,3 +130,85 @@ def test_kernel_decides_all_but_the_fallback_set():
     fallback = np.array([0.0, -0.0, -1.5, np.inf, -np.inf, np.nan, 5e-324,
                          1e-300, 1e300, 2.0**-25, 3 / 2**24])
     assert not _digits17(fallback)[2].any()
+
+
+def with_digits(X: int, count: int, rng: random.Random) -> float:
+    """A double in [10**X, 10**(X + 1)) whose '%.17g' shows exactly count
+    significant digits: count digits times a power of ten, or a dyadic
+    a + b / 2**j, whose j fraction digits end in 5."""
+    if count <= X + 1:
+        while True:
+            m = rng.randrange(10 ** (count - 1), 10**count)
+            value = m * 10 ** (X + 1 - count)
+            if m % 10 and int(float(value)) == value:  # exact above 2**53 too
+                return float(value)
+    j = count - X - 1
+    a = rng.randrange(10**X, min(10 ** (X + 1), 2**53 >> j))
+    return (a * 2**j + rng.randrange(1, 2**j, 2)) / 2**j
+
+
+def exponent_and_digits(text: str) -> tuple[int, int]:
+    """X and the significant digit count of a fixed-notation '%.17g'."""
+    return len(text.split(".")[0]) - 1, len(text.replace(".", "").rstrip("0"))
+
+
+def test_fixed_classes_with_every_digit_count_match_savetxt():
+    """X = 1..16 with 1..17 digits, each before ',' and before a newline:
+    this covers every row whose point the kernel moves inside the digits."""
+    rng = random.Random(7)
+    cases = [(X, count) for X in range(1, 17) for count in range(1, 18)]
+    values = np.array([with_digits(X, count, rng) for X, count in cases for _ in range(3)])
+    assert {exponent_and_digits("%.17g" % x) for x in values} == set(cases)
+    block = np.column_stack([values, values[::-1]])
+    assert format_rows(block) == savetxt_bytes(block)
+
+
+def test_rows_that_mix_classes_match_savetxt():
+    """t in [0, 1], a value >= 10 and a value < 1e-5 in every row."""
+    rng = np.random.default_rng(3)
+    n = 3000
+    t = np.linspace(0.0, 1.0, n)
+    large = 10.0 ** rng.uniform(1.0, 17.0, n)
+    small = 10.0 ** rng.uniform(-300.0, -5.0, n)
+    for block in (np.column_stack([t, large, small]), np.column_stack([small, t, large])):
+        assert format_rows(block) == savetxt_bytes(block)
+
+
+def test_fine_grid_solution_matches_savetxt(tmp_path):
+    """A 64001 x 3 solution with t = 0 and v_1(1) = 0, as _write_csv
+    writes it block by block."""
+    t = grid_points(64001)
+    columns = [t, 1.0 - t * t, 12.5 * np.cos(t) + t**3]
+    assert t[0] == 0.0 and columns[1][-1] == 0.0
+    _write_csv(tmp_path / "fast.csv", "t,v_1,v_2", columns)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), fmt="%.17g",
+               delimiter=",", header="t,v_1,v_2", comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_digit_tables():
+    """Each four-digit word is the ASCII of f"{q:04d}", and its trailing
+    zero count is that text's."""
+    texts = [f"{q:04d}" for q in range(10**4)]
+    assert _g17._QUADS.view(np.uint8).tobytes() == "".join(texts).encode()
+    assert _g17._TRAILING.tolist() == [len(s) - len(s.rstrip("0")) for s in texts]
+
+
+def test_fixed_values_reach_no_fallback(monkeypatch):
+    """Values in [10, 1e17), the classes whose point may fall inside the
+    digits, reach Python's '%.17g' only when they are ties."""
+    seen = []
+
+    def recorded(x):
+        seen.append(float(x))
+        return b"%.17g" % x
+
+    monkeypatch.setattr(_g17, "_fallback", recorded)
+    rng = np.random.default_rng(4)
+    tie = [x for x in ties() if 10.0 <= x < 1e17]
+    values = np.concatenate([10.0 ** rng.uniform(1.0, 17.0, 30000), tie])
+    rng.shuffle(values)
+    block = np.resize(values, (-(-values.size // 3), 3))
+    assert format_rows(block) == savetxt_bytes(block)
+    assert len(tie) > 100
+    assert seen == [x for x in block.ravel().tolist() if is_tie(x)]
