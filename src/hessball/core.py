@@ -114,32 +114,59 @@ class NonlinearitySpec:
         return all(g > 0 for _, _, g in self.active_terms)
 
 
+def _bind_terms(f: NonlinearitySpec, t) -> tuple[tuple[float, float, object], ...]:
+    """f's active terms as (gamma, c, weight) with weight = c * t**p, None where p = 0.
+
+    The weight is t**p itself when c = 1 (c * x = x is exact then).  An
+    operator program binds each forcing once per plan, so a composite
+    computes no t**p; eval_nonlinearity binds on every call.
+    """
+    bound = []
+    for c, p, g in f.active_terms:
+        weight = None
+        if p != 0:
+            weight = np.power(t, p)
+            if c != 1.0:
+                weight = c * weight
+        bound.append((g, c, weight))
+    return tuple(bound)
+
+
+def _sum_terms(terms: tuple[tuple[float, float, object], ...], v):
+    """sum over _bind_terms' triples of c * t**p * v**gamma: the term arithmetic.
+
+    A term is weight * v**gamma, or v**gamma times c in place where p = 0,
+    with the factor skipped when c = 1, and the sum starts from the first
+    term rather than from zeros: c * 1.0 = c, 1.0 * x = x and 0.0 + x = x
+    for x >= 0, so all are exact.  An array result is always a new array,
+    never v itself: v**gamma is computed even at gamma = 1.  v is not
+    checked here; callers guarantee v >= 0.
+    """
+    out = None
+    for g, c, weight in terms:
+        term = np.power(v, g)
+        if weight is not None:
+            term = weight * term
+        elif c != 1.0:
+            term *= c
+        out = term if out is None else out + term
+    return out
+
+
 def eval_nonlinearity(f: NonlinearitySpec, t, v):
     """Evaluate f(t, v) elementwise with the 0**0 = 1 convention.
 
     Negative v samples are a domain error: the family is only defined on
     v >= 0 and fractional exponents would otherwise produce complex values.
-    Scalar inputs give a float back; array inputs broadcast.  A term is
-    (c * t**p) * v**gamma, skipping t**0 when p = 0 and the factor c when
-    c = 1, and the sum starts from the first term rather than from zeros:
-    c * 1.0 = c, 1.0 * x = x and 0.0 + x = x for x >= 0, so all are exact.
-    An array result is always a new array, never v itself: v**gamma is
-    computed even at gamma = 1.
+    Scalar inputs give a float back; array inputs broadcast.  The terms are
+    bound to t and summed by _sum_terms, the arithmetic every operator
+    program runs too.
     """
     t_arr = np.asarray(t, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if (v_arr < 0).any():
         raise ValueError("eval_nonlinearity requires v >= 0")
-    out = None
-    for c, p, g in f.active_terms:
-        if p == 0:
-            term = np.power(v_arr, g)
-            if c != 1.0:
-                term *= c
-        else:
-            weight = np.power(t_arr, p)
-            term = (weight if c == 1.0 else c * weight) * np.power(v_arr, g)
-        out = term if out is None else out + term
+    out = _sum_terms(_bind_terms(f, t_arr), v_arr)
     if t_arr.shape != v_arr.shape:
         shape = np.broadcast_shapes(t_arr.shape, v_arr.shape)
         if np.shape(out) != shape:  # every term is t-free and t has the larger shape

@@ -21,15 +21,18 @@ continuously by 0 to tau = 0.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     GridFunction,
+    NonFiniteError,
     SystemSpec,
+    _bind_terms,
     _grid_samples,
+    _sum_terms,
     _values,
-    eval_nonlinearity,
     grid_points,
 )
 
@@ -46,19 +49,38 @@ __all__ = [
 NEGATIVE_ROUNDOFF_FLOOR = -1e-14
 
 
+class _Equation(NamedTuple):
+    """One equation of an operator program: everything A_i needs but its input.
+
+    terms are the forcing's _bind_terms triples on the plan's grid (c t**p
+    only where p > 0), power = N - 1 the weight power of the inner
+    integral, C = C(N-1, k-1), inv_k = 1/k, and divisor the slice
+    t**(N-k)[1:] the core is divided by, None where N = k.
+    """
+
+    terms: tuple[tuple[float, float, object], ...]
+    power: int
+    C: int
+    k: int
+    inv_k: float
+    divisor: np.ndarray | None
+
+
 class QuadratureTable:
-    """Quadrature plan on one grid: weighted cumulative and tail trapezoid sums.
+    """Quadrature plan on one grid, and the operator program bound to it.
 
     The panel weights of each weight power and the powers t**(N-k) the
     operators divide by are computed on first use and kept on the instance,
-    so every operator that uses the plan shares them.  Each solver call
-    builds one plan on entry, passes it to every composite it makes and
-    drops it on return; nothing caches a plan beyond that call: with a
-    one-entry plan cache keyed on M, the fine_grid benchmark's peak RSS
-    rose from 48.4 to 57.8 MB, far past its 5% bound.
+    so every operator that uses the plan shares them.  The first composite
+    that meets a system binds it into an operator program (program), which
+    the plan keeps for its later composites.  Each solver call builds one
+    plan on entry, passes it to every composite it makes and drops it, with
+    its program, on return; nothing caches a plan or a program beyond that
+    call: with a one-entry plan cache keyed on M, the fine_grid benchmark's
+    peak RSS rose from 48.4 to 57.8 MB, far past its 5% bound.
     """
 
-    __slots__ = ("M", "h", "t", "_powers", "_weights")
+    __slots__ = ("M", "h", "t", "_powers", "_weights", "_bound")
 
     def __init__(self, M: int):
         if M < 3:
@@ -68,6 +90,32 @@ class QuadratureTable:
         self.t = grid_points(M)
         self._powers: dict[int, np.ndarray] = {}
         self._weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._bound: tuple[SystemSpec, tuple[_Equation, ...]] | None = None
+
+    def program(self, spec: SystemSpec) -> tuple[_Equation, ...]:
+        """spec bound to this plan: one _Equation per equation, in cycle order.
+
+        Equation n comes first, as the composite applies it first.  Built
+        when the plan first meets spec and kept for the plan's next
+        composites; a plan that meets another spec binds that one in its
+        place.
+        """
+        bound = self._bound
+        if bound is None or bound[0] is not spec:
+            N = spec.N
+            program = tuple(
+                _Equation(
+                    _bind_terms(f, self.t),
+                    N - 1,
+                    math.comb(N - 1, k - 1),
+                    k,
+                    1.0 / k,
+                    None if N == k else self.power(N - k)[1:],
+                )
+                for k, f in zip(reversed(spec.k), reversed(spec.f))
+            )
+            bound = self._bound = (spec, program)
+        return bound[1]
 
     def power(self, e: int) -> np.ndarray:
         """t**e on the grid."""
@@ -131,45 +179,68 @@ class QuadratureTable:
 
 
 def _checked_input(v: GridFunction | np.ndarray) -> np.ndarray:
-    """Samples of an operator input: finite, on a grid, and nonnegative."""
+    """Samples of an operator input: finite, on a grid, and nonnegative.
+
+    The samples are finite by then, so min() < 0 is exactly any sample < 0.
+    """
     vals = v.values if isinstance(v, GridFunction) else _grid_samples(v)
-    if (vals < 0).any():
+    if vals.min() < 0:
         raise ValueError("operator input must be nonnegative")
     return vals
 
 
-def _apply(spec: SystemSpec, i: int, vals: np.ndarray, plan: QuadratureTable) -> np.ndarray:
-    """A_i on raw samples already checked by _checked_input, using plan's quadrature.
+def _run(plan: QuadratureTable, eq: _Equation, vals: np.ndarray) -> np.ndarray:
+    """A_i on finite nonnegative samples, using plan's quadrature.
 
-    core = k * (inner / C) / t**(N-k) skips only exact identities: the
-    division by C = C(N-1, k-1) when C = 1, the factor k when k = 1 and the
-    division by t**0 = 1.0 when N = k, so every sample keeps its bits.
+    y = max(core, 0)**(1/k), core = k * (inner / C) / t**(N-k), skips only
+    exact identities: the division by C = C(N-1, k-1) when C = 1, the factor
+    k and the power 1/k when k = 1, and the division by t**0 = 1.0 when
+    N = k, so every sample keeps its bits.
+
+    The output is tail's cum[-1] - cum, cum a sequential cumsum of panels
+    h (y_j + y_{j+1}) / 2 with y = max(core, 0)**(1/k) >= 0.  Rounding is
+    monotone, so a finite cum is nondecreasing and the output nonnegative
+    and nonincreasing, its maximum w[0] = cum[-1].  A NaN or inf among the
+    panels makes every later partial sum NaN or inf, so the output is
+    finite exactly when w[0] is: that one scalar is its finiteness check
+    (NonFiniteError, a ValueError).  It is made on every output, not only
+    the last: a v-free term would turn an overflowed inf into v**0 = 1.
+
+    The forcing is nonnegative wherever it is finite, so core falls below
+    NEGATIVE_ROUNDOFF_FLOOR only through rounding in the panel weights.
+    core.min() equals the smallest sample unless core holds a NaN, where
+    it is NaN; so a min() at or above the floor clears every sample, and
+    only a NaN min() falls back to comparing each sample.  That raises on
+    exactly the samples where a comparison alone would: a NaN cannot hide
+    a value below the floor.
     """
-    N = spec.N
-    k = spec.k[i - 1]
-    fvals = eval_nonlinearity(spec.f[i - 1], plan.t, vals)
-    inner = plan.weighted_cumulative(fvals, N - 1)
-    C = math.comb(N - 1, k - 1)
+    terms, power, C, k, inv_k, divisor = eq
+    inner = plan.weighted_cumulative(_sum_terms(terms, vals), power)
     if C != 1:
         inner /= C
 
     # inner ~ tau^N, so the ratio extends by 0 at the origin.  core is a
-    # second array, and at k = 1 the power 1.0 still copies it: with either
+    # second array and y = max(core, 0)**(1/k) a third, the clip's own, so
+    # k = 1 skips the power and still allocates what it did: with either
     # array gone, the fine_grid benchmark's heap peak no longer reached
     # glibc's trim threshold and its peak_rss_mb rose from 45.5 to 48.6 MB
-    # (ROADMAP item 6)
     core = np.empty_like(inner)
     core[0] = 0.0
     if k == 1:
-        np.divide(inner[1:], plan.power(N - 1)[1:], out=core[1:])
+        np.divide(inner[1:], divisor, out=core[1:])
     else:
         np.multiply(k, inner[1:], out=core[1:])
-        if N != k:
-            core[1:] /= plan.power(N - k)[1:]
-    if (core < NEGATIVE_ROUNDOFF_FLOOR).any():
+        if divisor is not None:
+            core[1:] /= divisor
+    if not core.min() >= NEGATIVE_ROUNDOFF_FLOOR and (core < NEGATIVE_ROUNDOFF_FLOOR).any():
         raise ValueError("inner integral went negative beyond round-off")
-    np.maximum(core, 0.0, out=core)
-    return plan.tail(core ** (1.0 / k))
+    y = np.maximum(core, 0.0)
+    if k != 1:
+        y **= inv_k
+    w = plan.tail(y)
+    if not math.isfinite(w[0]):
+        raise NonFiniteError("grid function samples must be finite")
+    return w
 
 
 def apply_operator(spec: SystemSpec, i: int, v: GridFunction | np.ndarray) -> GridFunction:
@@ -180,12 +251,15 @@ def apply_operator(spec: SystemSpec, i: int, v: GridFunction | np.ndarray) -> Gr
     -(weighted inner integral)^{1/k} <= 0.  It is concave when k = N, but
     for k < N the second derivative at t = 1 flips to +((N-k)/k) g(1) > 0
     whenever the forcing vanishes there, so concavity is not guaranteed.
-    Negative or non-finite input samples are rejected.
+    Negative or non-finite input samples are rejected, and so is a
+    non-finite output (NonFiniteError).  It runs equation i of the
+    program apply_composite runs, bound to a fresh plan.
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"equation index {i} outside 1..{spec.n}")
     vals = _checked_input(v)
-    return GridFunction(_apply(spec, i, vals, QuadratureTable(vals.size)))
+    plan = QuadratureTable(vals.size)
+    return GridFunction(_run(plan, plan.program(spec)[spec.n - i], vals))
 
 
 def apply_composite(
@@ -196,12 +270,18 @@ def apply_composite(
     Feeding v1 (the profile coupled to equation n) through the whole cycle
     returns the chain (w1, ..., wn) of all operator outputs as raw arrays:
     wn is the innermost application and w1 the updated first unknown, and a
-    SolutionBundle wraps them.  v1 may be a GridFunction or a raw array; it
-    is checked once, every operator output is checked for finiteness
-    (NonFiniteError, a ValueError), and the operators share one quadrature
-    plan and pass raw arrays between them.  That plan is the given one,
-    which a solver reuses across its composites (a plan on another grid
-    size is a ValueError), or else a fresh one.
+    SolutionBundle wraps them.  The operators share one quadrature plan and
+    pass raw arrays between them.  That plan is the given one, which a
+    solver reuses across its composites (a plan on another grid size is a
+    ValueError), or else a fresh one; the composite runs the operator
+    program bound to it (QuadratureTable.program), which the plan keeps
+    until the solver drops it.
+
+    Checks, each where the kernel needs it: v1, a GridFunction or a raw
+    array, is checked once for finite nonnegative samples (ValueError).
+    Each operator output is nonnegative by construction (_run), so it
+    feeds the next operator unchecked.  Each output's finiteness is read
+    off its first sample, w[0] = max w (NonFiniteError, a ValueError).
     """
     w = _checked_input(v1)
     if plan is None:
@@ -209,8 +289,8 @@ def apply_composite(
     elif plan.M != w.size:
         raise ValueError(f"quadrature plan has M = {plan.M}, input has {w.size} samples")
     chain: list[np.ndarray] = []
-    for i in range(spec.n, 0, -1):
-        w = _grid_samples(_apply(spec, i, w, plan))
+    for eq in plan.program(spec):
+        w = _run(plan, eq, w)
         chain.append(w)
     return tuple(reversed(chain))
 

@@ -212,7 +212,8 @@ def picard_solve(
         else:
             g = chain[0]
             f = g - v
-            delta, norm = sup_norm(f), sup_norm(g)
+            # g is nonnegative and nonincreasing, so g[0] is its sup norm
+            delta, norm = sup_norm(f), float(g[0])
         if norm < COLLAPSE_RELATIVE * init_norm:
             status = IterationStatus.COLLAPSED_TO_ZERO
         elif norm > DIVERGENCE_NORM:
@@ -324,7 +325,7 @@ def _shape_iteration(
         chain = _composite(spec, r * shape, plan)
         if chain is None:
             return start, None, math.inf, math.inf, it
-        G = sup_norm(chain[0])
+        G = float(chain[0][0])  # the image's sup norm: it peaks at t = 0
         if G == 0:
             delta = math.inf
             break

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessball import (
@@ -15,8 +15,12 @@ from hessball import (
     apply_operator,
     grid_points,
     hessian_eigenvalues,
+    picard_solve,
     radial_hessian,
+    sup_norm,
 )
+from hessball.core import NonFiniteError, _grid_samples
+from hessball.solver import IterationStatus
 from richardson import richardson_order
 
 HESSIAN_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 4)]
@@ -396,6 +400,229 @@ class TestKernelMatchesReference:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="grid function samples must be finite"):
                     apply_composite(spec, v)
+
+
+def reference_eval_nonlinearity(f, t, v):
+    """eval_nonlinearity as it stood before the operator program: every call
+    checks v, computes each t**p and builds each term."""
+    t_arr = np.asarray(t, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    if (v_arr < 0).any():
+        raise ValueError("eval_nonlinearity requires v >= 0")
+    out = None
+    for c, p, g in f.active_terms:
+        if p == 0:
+            term = np.power(v_arr, g)
+            if c != 1.0:
+                term *= c
+        else:
+            weight = np.power(t_arr, p)
+            term = (weight if c == 1.0 else c * weight) * np.power(v_arr, g)
+        out = term if out is None else out + term
+    return out
+
+
+def reference_apply(spec, i, vals, plan):
+    """A_i as operators._apply computed it before the operator program."""
+    N = spec.N
+    k = spec.k[i - 1]
+    fvals = reference_eval_nonlinearity(spec.f[i - 1], plan.t, vals)
+    inner = plan.weighted_cumulative(fvals, N - 1)
+    C = math.comb(N - 1, k - 1)
+    if C != 1:
+        inner /= C
+    core = np.empty_like(inner)
+    core[0] = 0.0
+    if k == 1:
+        np.divide(inner[1:], plan.power(N - 1)[1:], out=core[1:])
+    else:
+        np.multiply(k, inner[1:], out=core[1:])
+        if N != k:
+            core[1:] /= plan.power(N - k)[1:]
+    if (core < -1e-14).any():
+        raise ValueError("inner integral went negative beyond round-off")
+    np.maximum(core, 0.0, out=core)
+    return plan.tail(core ** (1.0 / k))
+
+
+def reference_composite(spec, v1, plan=None):
+    """apply_composite as it stood before the operator program.
+
+    Every operator re-derives its constants (reference_apply), and every
+    output gets the full finiteness check of _grid_samples.
+    """
+    w = v1.values if isinstance(v1, GridFunction) else _grid_samples(v1)
+    if (w < 0).any():
+        raise ValueError("operator input must be nonnegative")
+    if plan is None:
+        plan = QuadratureTable(w.size)
+    chain = []
+    for i in range(spec.n, 0, -1):
+        w = _grid_samples(reference_apply(spec, i, w, plan))
+        chain.append(w)
+    return tuple(reversed(chain))
+
+
+def program_input(M, scale, bump):
+    """A nonnegative profile: a scaled dome plus a bump that may break monotonicity."""
+    t = grid_points(M)
+    return scale * (1.0 - t * t) + (1.0 - t) * t + bump * np.exp(-50.0 * (t - 0.5) ** 2)
+
+
+class TestOperatorProgram:
+    """The bound operator program against the path it replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kernel_systems(),
+        st.sampled_from([3, 4, 301, 4001]),
+        st.floats(0.05, 20.0),
+        st.sampled_from([0.0, 3.0]),
+    )
+    def test_matches_reference_composite(self, spec, M, scale, bump):
+        v = program_input(M, scale, bump)
+        want = reference_composite(spec, v)
+        got = apply_composite(spec, v)
+        assert len(got) == len(want) == spec.n
+        for w_got, w_want in zip(got, want):
+            assert np.array_equal(w_got, w_want)
+        # apply_operator runs equation i alone on the output of equation i + 1
+        for i in range(1, spec.n + 1):
+            vi = want[i] if i < spec.n else v
+            plan = QuadratureTable(M)
+            expected = _grid_samples(reference_apply(spec, i, vi, plan))
+            assert np.array_equal(apply_operator(spec, i, vi).values, expected)
+
+    def test_shared_plan_rebinds_another_system(self):
+        # a plan keeps the program of the last system it met, never a stale one
+        M = 301
+        plan = QuadratureTable(M)
+        v = program_input(M, 2.0, 3.0)
+        specs = [
+            SystemSpec(3, (2, 1), (KERNEL_FORCINGS["several"], KERNEL_FORCINGS["p-positive"])),
+            SystemSpec(4, (4, 3), (KERNEL_FORCINGS["constant"], KERNEL_FORCINGS["p0"])),
+        ]
+        for spec in specs + specs:
+            got = apply_composite(spec, v, plan=plan)
+            want = reference_composite(spec, v)
+            for w_got, w_want in zip(got, want):
+                assert np.array_equal(w_got, w_want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel_systems(),
+        st.sampled_from([3, 4, 301, 4001]),
+        st.floats(1e-3, 1e3),
+        st.sampled_from([0.0, 3.0]),
+    )
+    def test_first_sample_is_the_sup_norm(self, spec, M, scale, bump):
+        # every output is nonnegative and nonincreasing, which is why the
+        # solvers and the finiteness check read w[0]
+        for w in apply_composite(spec, program_input(M, scale, bump)):
+            assert sup_norm(w) == w[0]
+            assert w.min() >= 0.0
+            assert (np.diff(w) <= 0.0).all()
+
+
+class FixedInner(QuadratureTable):
+    """A plan whose inner integral is a given array, whatever the forcing."""
+
+    __slots__ = ("inner",)
+
+    def weighted_cumulative(self, y, power):
+        return self.inner.copy()
+
+
+def outcome(call):
+    """A call's result, or the type and message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+INNER_SAMPLES = [0.0, 1e-3, 2.0, -1e-15, -1e-13, -0.5, math.nan, math.inf, -math.inf]
+
+
+class TestOperatorProgramErrors:
+    @pytest.mark.parametrize("wrap", [np.asarray, GridFunction], ids=["ndarray", "grid"])
+    @pytest.mark.parametrize("node", [0, 25, 50])
+    def test_one_tiny_negative_sample_rejected(self, wrap, node):
+        spec = power_pair(2, 1)
+        v = dome(51).values.copy()
+        v[node] = -5e-324
+        for call in (lambda x: apply_operator(spec, 1, x), lambda x: apply_composite(spec, x)):
+            with pytest.raises(ValueError, match="operator input must be nonnegative"):
+                call(wrap(v))
+
+    def test_nan_input_before_a_v_free_forcing(self):
+        # the innermost forcing reads NaN**0 = 1 and returns a finite
+        # profile, so only the input check sees the NaN
+        constant = NonlinearitySpec(((1.0, 0.0, 0.0),))
+        spec = SystemSpec(2, (1, 1), (constant, constant))
+        v = dome(51).values.copy()
+        v[20] = math.nan
+        for call in (lambda x: apply_operator(spec, 2, x), lambda x: apply_composite(spec, x)):
+            with pytest.raises(ValueError, match="grid function samples must be finite"):
+                call(v)
+
+    def test_overflow_before_a_v_free_forcing(self):
+        # the innermost v^40 overflows; the constant forcing after it would
+        # read inf**0 = 1 and return a finite profile, so the innermost
+        # output's own check must raise, and Picard reads it as divergence
+        M = 301
+        init = GridFunction(1e9 * (1.0 - grid_points(M) ** 2))
+        power = NonlinearitySpec(((1.0, 0.0, 40.0),))
+        constant = NonlinearitySpec(((1.0, 0.0, 0.0),))
+        spec = SystemSpec(2, (1, 1), (constant, power))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="grid function samples must be finite"):
+                apply_composite(spec, init)
+            with pytest.raises(NonFiniteError):
+                reference_composite(spec, init)
+            with pytest.raises(NonFiniteError):
+                apply_operator(spec, 2, init)
+        report = picard_solve(spec, init)
+        assert report.status is IterationStatus.DIVERGED
+        assert report.iterations == 1 and report.solution is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(
+            [power_pair(2, 1), PowerSystemSpec(3, (2, 3), (1.0, 0.5)), power_pair(4, 2)]
+        ),
+        st.lists(st.sampled_from(INNER_SAMPLES), min_size=5, max_size=12),
+    )
+    def test_floor_and_finiteness_match_reference(self, spec, samples):
+        # the inner integral is forced, NaNs, infs and values either side of
+        # the round-off floor included; the program must raise the same
+        # error as the old path, or return the same chain
+        inner = np.array([0.0] + samples)
+        M = inner.size
+        v = dome(M).values
+
+        def plan():
+            table = FixedInner(M)
+            table.inner = inner
+            return table
+
+        with np.errstate(all="ignore"):
+            got = outcome(lambda: apply_composite(spec, v, plan=plan()))
+            want = outcome(lambda: reference_composite(spec, v, plan=plan()))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+        else:
+            for w_got, w_want in zip(got, want):
+                assert np.array_equal(w_got, w_want)
+
+    def test_nan_cannot_hide_a_value_below_the_floor(self):
+        # core.min() is NaN here, so only the per-sample compare sees -0.5
+        spec = power_pair(2, 1)
+        table = FixedInner(6)
+        table.inner = np.array([0.0, 1e-3, -0.5, 2.0, math.nan, 1.0])
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="inner integral went negative"):
+                apply_composite(spec, dome(6).values, plan=table)
 
 
 class TestRadialHessian:
