@@ -227,7 +227,7 @@ def chain_contraction_bound(spec: SystemSpec) -> float:
     bound = 1.0
     exponent = 1.0
     for j in range(spec.n):
-        total = sum(c for c, _, _ in spec.f[j].active_terms)
+        total = sum(c for c, _, _ in spec.f[j].terms)
         factor = upper_bound_prefactor(spec.k[j], spec.N) * total ** (1.0 / spec.k[j])
         bound *= factor**exponent
         exponent *= gamma[j] / spec.k[j]
@@ -238,7 +238,7 @@ def chain_contraction_bound(spec: SystemSpec) -> float:
 class GrowthClass:
     """Asymptotic growth data of a system's forcing family.
 
-    alpha/beta are the smallest/largest active exponents per equation; the
+    alpha/beta are the smallest/largest exponents per equation; the
     four functionals bound the coefficient of the dominant term uniformly in
     t near v = 0 (lower0/upper0) and near v = infinity (lower_inf/upper_inf).
     condition names the first matching solvability regime:
@@ -282,7 +282,7 @@ def _dominant_coefficients(f: NonlinearitySpec, exponent: float) -> tuple[float,
     """
     at0 = 0.0
     at1 = 0.0
-    for c, p, g in f.active_terms:
+    for c, p, g in f.terms:
         if g == exponent:
             at1 += c
             if p == 0:
@@ -296,7 +296,7 @@ def classify_growth(spec: SystemSpec) -> GrowthClass:
     lower0, upper0, lower_inf, upper_inf = [], [], [], []
     vanishing = []
     for f in spec.f:
-        exps = [g for _, _, g in f.active_terms]
+        exps = [g for _, _, g in f.terms]
         a, b = min(exps), max(exps)
         alpha.append(a)
         beta.append(b)

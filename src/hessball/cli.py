@@ -7,8 +7,9 @@ Each scenario maps one solvability question to a fixed recipe:
                    iteration and the closed-form rescale c = mu^{1/(1-rho)},
                    other sublinear systems by Picard, and other superlinear
                    ones by norm-profile scan;
-* multiplicity  -- threshold chains plus a scan expected to bracket two
-                   solution norms, both polished and verified;
+* multiplicity  -- for forcings that mix exponents, threshold chains plus
+                   a scan expected to bracket two solution norms, both
+                   polished and verified;
 * uniqueness    -- for one exponent per equation and ratio below 1, the
                    power iteration and rescale from 1 - t^2 and from random
                    starts, which must agree, and the sublinearity report;
@@ -24,7 +25,7 @@ Each scenario maps one solvability question to a fixed recipe:
 * verify        -- re-verification of a solution CSV produced earlier.
 
 Every gate on homogeneity reads spec.gamma, the one exponent gamma_i > 0
-shared by every active term of f_i (coefficients and t-weights allowed).
+shared by every term of f_i (coefficients and t-weights allowed).
 No such system is scanned: its chain is rho-homogeneous on the grid, so the
 scan's G(r) = ||A(r phi)|| = r^rho mu has the rescale's c as its only root.
 
@@ -482,8 +483,15 @@ def _scenario_existence(run: _Run) -> None:
 
 
 def _scenario_multiplicity(run: _Run) -> None:
+    """Thresholds, then a scan that must verify two solution norms.
+
+    A system with one exponent per equation has G(r) = r^rho mu along r phi,
+    so at most one solution norm: its hypothesis fails before any threshold.
+    """
     cfg = run.config
     _growth_record(run)
+    if cfg.spec.gamma is not None:
+        return _unmet(run, "multiplicity needs a forcing that mixes exponents")
     thresholds = multiplicity_thresholds(cfg.spec, r0=cfg.r0, R0=cfg.R0)
     run.record("thresholds", _fields(thresholds))
     satisfied = bool(thresholds.r0_condition) or bool(thresholds.R0_condition)

@@ -14,7 +14,7 @@ with the convention 0**0 = 1 so constant terms survive at t = 0 and v = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,15 +84,12 @@ def sup_norm(v: GridFunction | np.ndarray) -> float:
 class NonlinearitySpec:
     """Finite sum f(t, v) = sum c * t**p * v**gamma with nonnegative data.
 
-    Terms with c = 0 are kept but never contribute; at least one positive
-    coefficient is required so the forcing is not identically zero.
+    terms keeps the given terms with c > 0, in order: a term with c = 0
+    never contributes, so it is dropped.  At least one positive coefficient
+    is required so the forcing is not identically zero.
     """
 
     terms: tuple[tuple[float, float, float], ...]
-    # the terms with c > 0, in order; set once from terms
-    active_terms: tuple[tuple[float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         cleaned = []
@@ -103,26 +100,26 @@ class NonlinearitySpec:
             if not all(map(math.isfinite, (c, p, g))) or min(c, p, g) < 0:
                 raise ValueError(f"term {term!r} must have finite nonnegative entries")
             cleaned.append((c, p, g))
-        if not any(c > 0 for c, _, _ in cleaned):
+        terms = tuple(term for term in cleaned if term[0] > 0)
+        if not terms:
             raise ValueError("at least one term needs a positive coefficient")
-        object.__setattr__(self, "terms", tuple(cleaned))
-        object.__setattr__(self, "active_terms", tuple(t for t in cleaned if t[0] > 0))
+        object.__setattr__(self, "terms", terms)
 
     @property
     def vanishes_at_zero(self) -> bool:
-        """True iff f(t, 0) = 0 for every t, i.e. all active exponents are positive."""
-        return all(g > 0 for _, _, g in self.active_terms)
+        """True iff f(t, 0) = 0 for every t, i.e. all exponents are positive."""
+        return all(g > 0 for _, _, g in self.terms)
 
 
 def _bind_terms(f: NonlinearitySpec, t) -> tuple[tuple[float, float, object], ...]:
-    """f's active terms as (gamma, c, weight) with weight = c * t**p, None where p = 0.
+    """f's terms as (gamma, c, weight) with weight = c * t**p, None where p = 0.
 
     The weight is t**p itself when c = 1 (c * x = x is exact then).  An
     operator program binds each forcing once per plan, so a composite
     computes no t**p; eval_nonlinearity binds on every call.
     """
     bound = []
-    for c, p, g in f.active_terms:
+    for c, p, g in f.terms:
         weight = None
         if p != 0:
             weight = np.power(t, p)
@@ -206,7 +203,7 @@ class SystemSpec:
 
     @property
     def gamma(self) -> tuple[float, ...] | None:
-        """Exponent gamma_i > 0 shared by every active term of f_i, else None.
+        """Exponent gamma_i > 0 shared by every term of f_i, else None.
 
         Set exactly when each forcing is sum_j c_j t^{p_j} v^{gamma_i}, so
         f_i(t, s v) = s^{gamma_i} f_i(t, v) whatever the coefficients and
@@ -217,7 +214,7 @@ class SystemSpec:
         """
         gamma = []
         for f in self.f:
-            exponents = {g for _, _, g in f.active_terms}
+            exponents = {g for _, _, g in f.terms}
             if len(exponents) != 1 or 0.0 in exponents:
                 return None
             gamma.extend(exponents)

@@ -47,7 +47,6 @@ from .analysis import cone_check
 from .core import (
     GridFunction,
     NonFiniteError,
-    NonlinearitySpec,
     SolutionBundle,
     SystemSpec,
     _power_exponents,
@@ -65,7 +64,6 @@ __all__ = [
     "NormProfile",
     "lambda_product_check",
     "lambda_product_exponents",
-    "lambda_scaled_system",
     "make_bundle",
     "normalized_power_iteration",
     "norm_profile_scan",
@@ -75,8 +73,14 @@ __all__ = [
 
 COLLAPSE_RELATIVE = 1e-10
 DIVERGENCE_NORM = 1e10
-PICARD_MAX_ITER = 500
-POWER_MAX_ITER = 500
+# The one cap on the composites of a fixed-point loop: each Picard solve,
+# each power-iteration stage and each shape iteration of a scan radius or
+# polish point stops after MAX_COMPOSITES.  Read at call time, so patching
+# it caps every loop.  The benchmark's three workloads at seeds 1-5 reach
+# at most 10 (Picard), 8 (a power-iteration stage) and 7 (a scan radius or
+# polish point); only shapes that never settle, such as the CI's N = 4
+# scan, run to it.
+MAX_COMPOSITES = 300
 SCAN_INNER_TOL = 1e-10
 # The scan's coarse pass settles each shape to SCAN_SIGN_TOL only, and runs
 # a radius on to SCAN_INNER_TOL where |G - r| <= SIGN_MARGIN delta max(G, r),
@@ -91,7 +95,6 @@ SCAN_INNER_TOL = 1e-10
 # headroom.  Criterion 9's scan took 105 composites, 198 at SCAN_INNER_TOL.
 SCAN_SIGN_TOL = 1e-4
 SIGN_MARGIN = 1e3
-SCAN_MAX_INNER = 300
 POLISH_MAX_STEPS = 64
 LAMBDA_PRODUCT_RTOL = 1e-6
 # The power iteration's coarse stages run on (COARSE_GRID + 1) / 2 and
@@ -184,7 +187,7 @@ def picard_solve(
     the start) is checked before convergence so that a geometric decay to
     zero is reported as collapse, not as convergence to the trivial fixed
     point; divergence trips at norm 1e10, and MAX_ITER after
-    PICARD_MAX_ITER steps.  A step whose composite overflows (non-finite
+    MAX_COMPOSITES steps.  A step whose composite overflows (non-finite
     samples) reads as an infinite norm and delta, so it also ends in
     DIVERGED.  The bundle is the last composite's chain, so its coupling
     defect is final_delta.  Every step shares one quadrature plan, dropped
@@ -205,7 +208,7 @@ def picard_solve(
     delta = last_delta = math.inf
     last_g = last_f = None
     status = IterationStatus.MAX_ITER
-    for iterations in range(1, PICARD_MAX_ITER + 1):
+    for iterations in range(1, MAX_COMPOSITES + 1):
         chain = _composite(spec, v, plan)
         if chain is None:
             delta = norm = math.inf
@@ -298,27 +301,28 @@ def _shape_iteration(
     start: np.ndarray,
     plan: QuadratureTable,
     tol: float = SCAN_INNER_TOL,
-    max_iter: int = SCAN_MAX_INNER,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None, float, float, int]:
     """Iterate the normalized map shape -> A(r shape)/||A(r shape)|| from start.
 
-    Stops once a step's input is within tol of its own normalized image.
-    Returns (shape, chain, delta, G, iterations) of the last step: shape is
-    its input, chain the chain of A(r shape), G = ||A(r shape)|| and delta
-    = ||A(r shape)/G - shape||, that input's own defect.  The next input is
-    _mix's depth-1 Anderson mix of the last two normalized images, rescaled
-    to unit sup norm; where the clip at 0 leaves it all zero, the plain
-    step, the normalized image itself.  So every input is a nonnegative
-    unit-norm profile, and the stop, G and the chain all belong to it.  An
-    annihilated iterate (G = 0) stops with delta = inf, so it never counts
-    as converged.  An overflowing composite returns (start, None, inf, inf,
-    iterations), so a warm start never inherits an iterate on its way to
-    overflow.  Every composite uses the caller's quadrature plan.
+    Stops once a step's input is within tol of its own normalized image,
+    or after MAX_COMPOSITES steps.  Returns (shape, chain, delta, G,
+    iterations) of the last step: shape is its input, chain the chain of
+    A(r shape), G = ||A(r shape)|| and delta = ||A(r shape)/G - shape||,
+    that input's own defect.  The next input is _mix's depth-1 Anderson mix
+    of the last two normalized images, rescaled to unit sup norm by its
+    maximum (the mix is clipped at 0, so that is its sup norm); where the
+    clip leaves it all zero, the plain step, the normalized image itself.
+    So every input is a nonnegative unit-norm profile, and the stop, G and
+    the chain all belong to it.  An annihilated iterate (G = 0) stops with
+    delta = inf, so it never counts as converged.  An overflowing composite
+    returns (start, None, inf, inf, iterations), so a warm start never
+    inherits an iterate on its way to overflow.  Every composite uses the
+    caller's quadrature plan.
     """
     new_shape = start
     last_g = last_f = None
     last_delta = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_COMPOSITES + 1):
         shape = new_shape
         # the last chain stays alive across this composite: dropping it first
         # tripled the page faults, ~35% slower at M = 64001 on a Xeon VM
@@ -336,7 +340,7 @@ def _shape_iteration(
             break
         new_shape = _mix(g, f, last_g, last_f, delta, last_delta)
         if new_shape is not g:
-            norm = sup_norm(new_shape)
+            norm = new_shape.max()
             if norm > 0:
                 new_shape /= norm
             else:
@@ -407,7 +411,7 @@ def _coarse_start(
     total = 0
     for m in (low, COARSE_GRID):
         coarse, _, delta, mu, iterations = _shape_iteration(
-            spec, 1.0, start, QuadratureTable(m), tol, POWER_MAX_ITER
+            spec, 1.0, start, QuadratureTable(m), tol
         )
         total += iterations
         if delta > tol:
@@ -452,7 +456,7 @@ def normalized_power_iteration(
     if shape.size - 1 >= COARSE_MIN_REFINEMENT * (COARSE_GRID - 1):
         shape, coarse_iterations, coarse_lambda0 = _coarse_start(spec, shape, tol)
     shape, chain, delta, mu, iterations = _shape_iteration(
-        spec, 1.0, shape, QuadratureTable(shape.size), tol, POWER_MAX_ITER
+        spec, 1.0, shape, QuadratureTable(shape.size), tol
     )
     mu_bounds, solution = (mu, mu), None
     if chain is None:
@@ -596,8 +600,8 @@ def norm_profile_scan(
     is the root's bundle, accepted only when the defect stop is the one that
     ended the polish.  For N = 4, k = (1, 1), 0.0816 (v^0.4946 + v^3.1625),
     28 radii over [1e-4, 1e4], M = 301, two brackets open at radii that
-    hit SCAN_MAX_INNER, and stopping at an unsettled shape cut their
-    polishes from 47 and 39 points of SCAN_MAX_INNER composites to one each
+    hit MAX_COMPOSITES, and stopping at an unsettled shape cut their
+    polishes from 47 and 39 points of MAX_COMPOSITES composites to one each
     (26532 -> 1332 composites), brackets and accepted flags unchanged.
     An overflowing composite reads as G = inf.  Deliberately not
     picard_solve: a root can be repelling, and its profile can sit outside
@@ -774,19 +778,5 @@ def lambda_product_check(
         matches=matches,
         exponents=e,
         composite_factor=product ** (1.0 / spec.k[0]),
-    )
-
-
-def lambda_scaled_system(spec: SystemSpec, lam: tuple[float, ...]) -> SystemSpec:
-    """The same system with every coefficient of equation j scaled by lambda_j."""
-    _power_exponents(spec, "lambda_scaled_system")
-    _check_multipliers(spec, lam)
-    return SystemSpec(
-        spec.N,
-        spec.k,
-        tuple(
-            NonlinearitySpec(tuple((float(l) * c, p, g) for c, p, g in f.terms))
-            for l, f in zip(lam, spec.f)
-        ),
     )
 

@@ -45,7 +45,6 @@ from .operators import _symmetric_function, hessian_eigenvalues
 __all__ = [
     "RESIDUAL_BOUND_CONSTANT",
     "VerificationReport",
-    "constant_forcing_solution",
     "ode_residual",
     "residual_tolerance",
     "verify_solution",
@@ -66,15 +65,6 @@ CONE_TOL_SCALE = 1e-8
 def residual_tolerance(M: int) -> float:
     """Acceptable interior residual at grid size M."""
     return max(1e-6, RESIDUAL_BOUND_CONSTANT / (M * M))
-
-
-def constant_forcing_solution(N: int, k: int, M: int) -> GridFunction:
-    """Exact operator output for unit constant forcing: a scaled 1 - t^2."""
-    if not 1 <= k <= N:
-        raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    t = grid_points(M)
-    amplitude = (k / (N * math.comb(N - 1, k - 1))) ** (1.0 / k)
-    return GridFunction(amplitude * (1.0 - t * t) / 2.0)
 
 
 def _grid_size(spec: SystemSpec, profiles: Sequence[GridFunction]) -> int:

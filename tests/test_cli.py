@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hessball
@@ -541,6 +542,38 @@ class TestExitCodes:
         for fname in ("report.jsonl", "solution_1.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    @given(
+        st.sampled_from([
+            {"scenario": "existence", "N": 2, "k": [1, 1], "terms": [C1_TWO_TERMS] * 2},
+            {"scenario": "existence", "N": 3, "k": [1, 2], "terms": WEIGHTED_TERMS},
+            {"scenario": "multiplicity", "N": 2, "k": [1, 1], "terms": MULT_TERMS,
+             "r0": 1.0, "r_min": 1e-4, "r_max": 1e4, "points": 48},
+        ]),
+        st.data(),
+    )
+    @settings(max_examples=12)
+    def test_zero_coefficient_terms_change_no_byte(self, base, data):
+        # a (0, p, q) term never contributes, whatever its p and q: a zero
+        # constant (q = 0) or a second exponent changes no gate either
+        padded = []
+        for eq in base["terms"]:
+            eq = list(eq)
+            for _ in range(data.draw(st.integers(1, 2))):
+                zero = [0, data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.0, 4.0))]
+                eq.insert(data.draw(st.integers(0, len(eq))), zero)
+            padded.append(eq)
+        outs = []
+        # hypothesis rejects function-scoped fixtures such as tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, terms in (("plain", base["terms"]), ("padded", padded)):
+                path = write_config(Path(tmp), f"{name}.json",
+                                    {**base, "terms": terms, "M": 301})
+                out = Path(tmp) / name
+                main(["run", path, "--out", str(out), "--quiet"])
+                outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outs[0] == outs[1]
+        assert "report.jsonl" in outs[0] and "solution_1.csv" in outs[0]
+
     @pytest.mark.parametrize(
         "system,expected",
         [
@@ -645,9 +678,9 @@ class TestExitCodes:
         data = {"scenario": scenario, "N": 2, "k": [1, 1], "gamma": gamma,
                 "M": 301, "points": 16, "starts": 2, "tol": 1e-12}
         path = write_config(tmp_path, "p.json", data)
-        for max_iter, code in ((solver.POWER_MAX_ITER, 0), (2, 4), (steps, 4)):
-            monkeypatch.setattr(solver, "POWER_MAX_ITER", max_iter)
-            out = tmp_path / f"out_{max_iter}"
+        for cap, code in ((solver.MAX_COMPOSITES, 0), (2, 4), (steps, 4)):
+            monkeypatch.setattr(solver, "MAX_COMPOSITES", cap)
+            out = tmp_path / f"out_{cap}"
             assert main(["run", path, "--out", str(out), "--quiet"]) == code
             lines = (out / "report.jsonl").read_text().splitlines()
             record = next(r for r in map(json.loads, lines) if r["kind"] == kind)
@@ -834,6 +867,30 @@ class TestExitCodes:
             },
         )
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize(
+        "system",
+        [{"gamma": [2, 2]}, {"terms": [[[1, 0, 2], [0.5, 1, 2]], [[2, 0.5, 2]]]}],
+        ids=["gamma", "weighted-terms"],
+    )
+    def test_multiplicity_needs_mixed_exponents(self, tmp_path, monkeypatch, system):
+        # one exponent per equation gives G(r) = r^rho mu along r phi, so at
+        # most one solution norm: the hypothesis fails before any threshold
+        def not_called(*args, **kwargs):
+            raise RuntimeError("multiplicity_thresholds or norm_profile_scan called")
+
+        monkeypatch.setattr(hessball.cli, "multiplicity_thresholds", not_called)
+        monkeypatch.setattr(hessball.cli, "norm_profile_scan", not_called)
+        data = {"scenario": "multiplicity", "N": 2, "k": [1, 1], **system,
+                "M": 301, "r0": 1.0}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, "m.json", data), "--out", str(out),
+                     "--quiet"]) == 3
+        records = read_records(out)
+        assert [r["kind"] for r in records] == [
+            "run_config", "growth_classification", "hypothesis"]
+        assert records[-1]["pass"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["report.jsonl"]
 
     def test_eigenvalue_succeeds(self, tmp_path):
         path = write_config(
@@ -1065,7 +1122,7 @@ class TestPowerRescaleExistence:
         assert records["power_rescale"]["values"]["c"] is None
 
     def test_unconverged_iteration_fails_its_record(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(solver, "POWER_MAX_ITER", 2)
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", 2)
         code, records, out = self.run(tmp_path)
         self.assert_failed_record(code, records, out)
         values = records["power_rescale"]["values"]

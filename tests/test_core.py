@@ -11,11 +11,12 @@ from hessball import (
     PowerSystemSpec,
     SolutionBundle,
     SystemSpec,
+    apply_composite,
     eval_nonlinearity,
     grid_points,
-    lambda_scaled_system,
     sup_norm,
 )
+from oracle import lambda_scaled_system
 
 # the two-solution forcing 0.1 v^0.5 + 0.1 v^3 on both equations
 MULT_TERMS = [[[0.1, 0.0, 0.5], [0.1, 0.0, 3.0]]] * 2
@@ -84,14 +85,14 @@ class TestNonlinearitySpec:
         with pytest.raises(ValueError):
             NonlinearitySpec(((1.0, 0.0, math.inf),))
 
-    def test_active_terms_drops_zero_coefficients(self):
+    def test_terms_drop_zero_coefficients(self):
         f = NonlinearitySpec(((1.0, 0.0, 2.0), (0.0, 3.0, 1.0)))
-        assert f.active_terms == ((1.0, 0.0, 2.0),)
+        assert f.terms == ((1.0, 0.0, 2.0),)
 
     def test_vanishes_at_zero(self):
         assert NonlinearitySpec(((1.0, 0.0, 2.0),)).vanishes_at_zero
         assert not NonlinearitySpec(((1.0, 0.0, 0.0),)).vanishes_at_zero
-        # inactive constant term does not spoil vanishing
+        # a dropped zero-coefficient constant term does not spoil vanishing
         f = NonlinearitySpec(((1.0, 0.0, 2.0), (0.0, 0.0, 0.0)))
         assert f.vanishes_at_zero
 
@@ -171,6 +172,41 @@ class TestEvalNonlinearity:
         f = NonlinearitySpec(tuple(triples))
         value = eval_nonlinearity(f, 0.5, 0.0)
         assert f.vanishes_at_zero == (value == 0.0)
+
+
+# a positive term with an exponent from a short list, so that forcings often
+# share one exponent, or a (0, p, q) term with any q, a zero constant included
+FORCING_TERMS = st.lists(
+    st.one_of(
+        st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 2.0), st.sampled_from((0.0, 0.5, 2.5))),
+        st.tuples(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 4.0)),
+    ),
+    min_size=1,
+    max_size=5,
+).filter(lambda terms: any(c > 0 for c, _, _ in terms))
+
+
+class TestZeroCoefficientTerms:
+    """A term with c = 0 never contributes, so a forcing given with extra
+    (0, p, q) terms is the forcing without them."""
+
+    @given(
+        st.integers(2, 4), st.integers(1, 4), st.integers(1, 4),
+        FORCING_TERMS, FORCING_TERMS, st.integers(7, 201),
+    )
+    def test_padded_forcing_is_the_same_forcing(self, N, k1, k2, terms1, terms2, M):
+        k = (min(k1, N), min(k2, N))
+        given_terms = (terms1, terms2)
+        padded = SystemSpec(N, k, tuple(NonlinearitySpec(tuple(ts)) for ts in given_terms))
+        plain = SystemSpec(N, k, tuple(
+            NonlinearitySpec(tuple(term for term in ts if term[0] > 0)) for ts in given_terms
+        ))
+        assert padded.f == plain.f and padded == plain
+        assert padded.gamma == plain.gamma
+        assert [f.vanishes_at_zero for f in padded.f] == [f.vanishes_at_zero for f in plain.f]
+        v = 1.0 - grid_points(M) ** 2
+        for got, want in zip(apply_composite(padded, v), apply_composite(plain, v)):
+            assert np.array_equal(got, want)
 
 
 class TestSystemSpec:

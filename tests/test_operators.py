@@ -223,7 +223,7 @@ class TestApplyComposite:
 def reference_forcing(f, t, v):
     """The forcing as first written: zeros, plus every term with its t**p."""
     out = np.zeros(np.broadcast_shapes(t.shape, v.shape))
-    for c, p, g in f.active_terms:
+    for c, p, g in f.terms:
         out = out + c * np.power(t, p) * np.power(v, g)
     return out
 
@@ -410,7 +410,7 @@ def reference_eval_nonlinearity(f, t, v):
     if (v_arr < 0).any():
         raise ValueError("eval_nonlinearity requires v >= 0")
     out = None
-    for c, p, g in f.active_terms:
+    for c, p, g in f.terms:
         if p == 0:
             term = np.power(v_arr, g)
             if c != 1.0:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hessball import (
     grid_points,
     lambda_product_check,
     lambda_product_exponents,
-    lambda_scaled_system,
     make_bundle,
     norm_profile_scan,
     normalized_power_iteration,
@@ -35,6 +35,7 @@ from hessball import (
 )
 from hessball import operators, solver
 from hessball.core import NonFiniteError, _values, unit_ratio_sign
+from oracle import lambda_scaled_system
 from richardson import richardson_order
 
 SUBLINEAR = PowerSystemSpec(2, (1, 1), (0.5, 0.5))
@@ -116,14 +117,14 @@ class TestPicardSolve:
         )
 
     def test_max_iter_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(solver, "PICARD_MAX_ITER", 2)
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", 2)
         rep = picard_solve(SUBLINEAR, dome(301), tol=1e-15)
         assert rep.status is IterationStatus.MAX_ITER
         assert rep.iterations == 2
         assert rep.solution is None
 
     def test_final_delta_is_the_fixed_point_defect(self, monkeypatch):
-        monkeypatch.setattr(solver, "PICARD_MAX_ITER", 1)
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", 1)
         init = dome(301)
         rep = picard_solve(CRITICAL, init, tol=1e-12)
         assert rep.status is IterationStatus.MAX_ITER
@@ -173,7 +174,7 @@ def plain_picard(spec, init, tol):
     """
     init_norm, v = sup_norm(init), init.values
     plan = QuadratureTable(v.size)
-    for iterations in range(1, solver.PICARD_MAX_ITER + 1):
+    for iterations in range(1, solver.MAX_COMPOSITES + 1):
         g = apply_composite(spec, v, plan=plan)[0]
         delta, norm, v = sup_norm(g - v), sup_norm(g), g
         if norm < solver.COLLAPSE_RELATIVE * init_norm:
@@ -188,7 +189,7 @@ def plain_picard(spec, init, tol):
 def settled_fixed_point(spec, v):
     """Plain steps from v until the defect stops falling: the fixed point to rounding."""
     plan, best = QuadratureTable(v.size), math.inf
-    for _ in range(solver.PICARD_MAX_ITER):
+    for _ in range(solver.MAX_COMPOSITES):
         g = apply_composite(spec, v, plan=plan)[0]
         defect = sup_norm(g - v)
         if defect >= best:
@@ -294,7 +295,7 @@ def reference_picard(spec, init, tol=1e-10):
     delta = last_delta = math.inf
     last_g = last_f = None
     status = IterationStatus.MAX_ITER
-    for iterations in range(1, solver.PICARD_MAX_ITER + 1):
+    for iterations in range(1, solver.MAX_COMPOSITES + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 chain = apply_composite(spec, v, plan=plan)
@@ -405,7 +406,7 @@ def plain_shape_iteration(spec, start, tol):
     solver._shape_iteration does at r = 1.
     """
     shape, plan = start, QuadratureTable(start.size)
-    for iterations in range(1, solver.POWER_MAX_ITER + 1):
+    for iterations in range(1, solver.MAX_COMPOSITES + 1):
         g = apply_composite(spec, shape, plan=plan)[0]
         new = g / sup_norm(g)
         delta = sup_norm(new - shape)
@@ -422,11 +423,13 @@ class TestMixedShapeIteration:
     """_shape_iteration's mixed inputs keep every certificate read off them."""
 
     @given(shape_systems, st.integers(7, 2001), st.floats(-2.0, 2.0), st.integers(1, 12))
-    def test_returns_a_unit_input_and_its_own_defect(self, spec, M, log_r, max_iter):
+    def test_returns_a_unit_input_and_its_own_defect(self, spec, M, log_r, cap):
+        # hypothesis rejects function-scoped fixtures, so no monkeypatch here
         r = 10.0**log_r
-        shape, chain, delta, G, _ = solver._shape_iteration(
-            spec, r, dome(M).values, QuadratureTable(M), solver.SCAN_INNER_TOL, max_iter
-        )
+        with mock.patch.object(solver, "MAX_COMPOSITES", cap):
+            shape, chain, delta, G, _ = solver._shape_iteration(
+                spec, r, dome(M).values, QuadratureTable(M), solver.SCAN_INNER_TOL
+            )
         assert chain is not None and 0 < G < math.inf
         assert shape.min() >= 0.0 and sup_norm(shape) == 1.0
         # G, delta and the chain all belong to the returned input
@@ -456,7 +459,7 @@ class TestMixedShapeIteration:
         start = dome(solver.COARSE_GRID).values
         plain, plain_delta, plain_iterations = plain_shape_iteration(spec, start, 1e-12)
         shape, _, delta, _, iterations = solver._shape_iteration(
-            spec, 1.0, start, QuadratureTable(start.size), 1e-12, solver.POWER_MAX_ITER
+            spec, 1.0, start, QuadratureTable(start.size), 1e-12
         )
         assert delta <= 1e-12 and plain_delta <= 1e-12
         assert iterations < plain_iterations
@@ -467,10 +470,9 @@ class TestMixedShapeIteration:
         # its peak there at 1; a raised mix shows the rescale
         calls = record_composites(monkeypatch)
         monkeypatch.setattr(solver, "_mix", lambda g, *rest: g + 0.25)
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", 4)
         r = 2.0
-        solver._shape_iteration(
-            SUBLINEAR, r, dome(301).values, QuadratureTable(301), max_iter=4
-        )
+        solver._shape_iteration(SUBLINEAR, r, dome(301).values, QuadratureTable(301))
         assert len(calls) == 4
         for (_, chain), (v, _) in zip(calls, calls[1:]):
             np.testing.assert_array_equal(v, r * ((chain[0] / sup_norm(chain[0]) + 0.25) / 1.25))
@@ -550,7 +552,7 @@ class TestNormalizedPowerIteration:
 
     def test_zero_node_opens_the_bracket(self, monkeypatch):
         # a cone start that is 0 near t = 1, stopped after its first step
-        monkeypatch.setattr(solver, "POWER_MAX_ITER", 1)
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", 1)
         t = grid_points(301)
         eig = normalized_power_iteration(CRITICAL, GridFunction(np.where(t < 0.76, 1.0, 0.0)))
         assert eig.mu_bounds[1] == math.inf
@@ -593,7 +595,7 @@ class TestNormalizedPowerIteration:
     def test_converged_and_max_iter_statuses(self, monkeypatch):
         eig = normalized_power_iteration(LAPLACE_3D, dome(301), tol=1e-12)
         assert eig.status is IterationStatus.CONVERGED and eig.shape_delta <= 1e-12
-        monkeypatch.setattr(solver, "POWER_MAX_ITER", 2)
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", 2)
         eig = normalized_power_iteration(LAPLACE_3D, dome(301), tol=1e-12)
         assert eig.status is IterationStatus.MAX_ITER and eig.shape_delta > 1e-12
         assert eig.solution is not None
@@ -611,7 +613,7 @@ def direct_iteration(spec, init, tol):
     """The fine stage alone from init, as a run below the threshold does it."""
     shape = init.values / sup_norm(init)
     return solver._shape_iteration(
-        spec, 1.0, shape, QuadratureTable(shape.size), tol, solver.POWER_MAX_ITER
+        spec, 1.0, shape, QuadratureTable(shape.size), tol
     )
 
 
@@ -641,7 +643,7 @@ def linear_start_fine_iterations(spec, init, tol):
     t, t_coarse = grid_points(init.grid_size), grid_points(solver.COARSE_GRID)
     coarse, _, delta, _, _ = solver._shape_iteration(
         spec, 1.0, np.interp(t_coarse, t, init.values),
-        QuadratureTable(solver.COARSE_GRID), tol, solver.POWER_MAX_ITER,
+        QuadratureTable(solver.COARSE_GRID), tol,
     )
     assert delta <= tol
     _, _, delta, _, iterations = direct_iteration(
@@ -962,7 +964,7 @@ class TestNormProfileScan:
         # radii 20 and 21 run out of composites, and the sign flips around
         # them open two brackets whose polish points cannot settle either:
         # each polish ends unaccepted at its first point, where it used to
-        # run 47 and 39 points of SCAN_MAX_INNER composites (26532 in all)
+        # run 47 and 39 points of MAX_COMPOSITES composites (26532 in all)
         f = NonlinearitySpec(((0.0816, 0.0, 0.4946), (0.0816, 0.0, 3.1625)))
         spec = SystemSpec(4, (1, 1), (f, f))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1398,6 +1400,49 @@ class TestOnePlanPerSolverCall:
         picard_solve(SUBLINEAR, dome(201))
         normalized_power_iteration(LAPLACE_3D, dome(101))
         assert built_plans == [101, 201, 101]
+
+
+class TestOneCompositeCap:
+    """solver.MAX_COMPOSITES, read at call time, caps every fixed-point loop."""
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_picard_stops_at_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", cap)
+        calls = record_composites(monkeypatch)
+        rep = picard_solve(SUBLINEAR, dome(301), tol=1e-15)
+        assert rep.status is IterationStatus.MAX_ITER
+        assert rep.iterations == len(calls) == cap
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_each_power_iteration_stage_stops_at_the_cap(self, monkeypatch, cap):
+        # the first coarse stage stops unconverged, so the fine stage starts
+        # from the start itself and stops at the cap too
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", cap)
+        sizes = count_composites(monkeypatch)
+        eig = normalized_power_iteration(LAPLACE_3D, dome(NESTED_M), tol=1e-15)
+        assert eig.status is IterationStatus.MAX_ITER
+        assert (eig.coarse_iterations, eig.iterations) == (cap, cap)
+        assert sizes == [LOW_GRID] * cap + [NESTED_M] * cap
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_each_scan_shape_iteration_stops_at_the_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(solver, "MAX_COMPOSITES", cap)
+        runs = []
+        shape_iteration = solver._shape_iteration
+
+        def recorded(spec, r, start, plan, tol=solver.SCAN_INNER_TOL):
+            shape, chain, delta, G, it = shape_iteration(spec, r, start, plan, tol)
+            runs.append((delta > tol and 0 < G < math.inf, it))
+            return shape, chain, delta, G, it
+
+        monkeypatch.setattr(solver, "_shape_iteration", recorded)
+        spec = SystemSpec(2, (1, 1), (MULT_FORCING, MULT_FORCING))
+        prof = norm_profile_scan(spec, 1e-4, 1e4, 16, grid_size=301)
+        # every radius and polish point that did not settle ran to the cap
+        unsettled = [it for missed, it in runs if missed]
+        assert unsettled and set(unsettled) == {cap}
+        assert max(it for _, it in runs) == cap
+        assert sum(it for _, it in runs) == sum(prof.inner_iterations)
 
 
 class TestLambdaMachinery:

@@ -10,7 +10,6 @@ from hessball import (
     PowerSystemSpec,
     SolutionBundle,
     SystemSpec,
-    constant_forcing_solution,
     grid_points,
     make_bundle,
     ode_residual,
@@ -20,6 +19,7 @@ from hessball import (
     verify_solution,
 )
 from hessball import analysis, operators, verify
+from oracle import constant_forcing_solution
 from richardson import richardson_order
 
 
