@@ -208,9 +208,9 @@ class SystemSpec:
         Set exactly when each forcing is sum_j c_j t^{p_j} v^{gamma_i}, so
         f_i(t, s v) = s^{gamma_i} f_i(t, v) whatever the coefficients and
         t-weights; None when a forcing mixes exponents or is free of v.
-        This is the one homogeneity test: the rescale, the scan,
-        sublinearity_check, chain_contraction_bound, the lambda_* helpers
-        and the scenario gates all read it.
+        This is the one homogeneity test: the rescale, sublinearity_check,
+        chain_contraction_bound, the lambda_* helpers and the scenario
+        gates all read it.
         """
         gamma = []
         for f in self.f:

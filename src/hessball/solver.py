@@ -577,14 +577,6 @@ def norm_profile_scan(
     not tried; then so does each end of every bracket those values leave,
     until both ends of every bracket ran to SCAN_INNER_TOL.  A radius whose
     loose pass reads G = 0 or inf, or missed SCAN_SIGN_TOL, is not re-run.
-    A system with one exponent per equation (spec.gamma set), a pure power
-    among them, has the same normalized map at every r, so its radii all
-    run to SCAN_INNER_TOL, each from the last radius's shape, and none is re-run:
-    every radius then follows the power iteration's own shape iteration,
-    and the root stays within SCAN_INNER_TOL / |1 - rho| of the rescale's
-    c.  A loose pass saved 5% of those scans' composites (4250 against
-    4475 over 200 random pure powers at M = 301) but moved 23 of the 200
-    roots up to 7.4 times that distance from c.
     Neighbouring radii where the sign bit of G(r) - r flips are polished
     by Illinois regula falsi (Dowell & Jarratt 1971) on psi(x) = log G - x,
     x = log r, which is affine once the shape has converged for a pure
@@ -625,10 +617,7 @@ def norm_profile_scan(
     rerun = np.zeros(points, dtype=bool)
     starts: list[np.ndarray] = []
     inner: list[int] = []
-    # one exponent per equation: the normalized map is the same at every r
-    # and the full pass keeps the power iteration's shapes
-    homogeneous = spec.gamma is not None
-    tols = np.full(points, SCAN_INNER_TOL if homogeneous else SCAN_SIGN_TOL)
+    tols = np.full(points, SCAN_SIGN_TOL)
     shape = _default_shape(grid_size)
     plan = QuadratureTable(shape.size)
     for j, r in enumerate(radii):
@@ -637,7 +626,7 @@ def norm_profile_scan(
         )
         # a re-run continues from the normalized image, an input that this
         # radius has not tried yet, and so does the next radius
-        resumable[j] = not homogeneous and deltas[j] <= tols[j]
+        resumable[j] = deltas[j] <= tols[j]
         if resumable[j]:
             shape = chain[0] / values[j]
             # the loose shape's error in G could flip the sign of G - r
@@ -754,6 +743,14 @@ def _check_multipliers(spec: SystemSpec, lam: tuple[float, ...]) -> None:
         raise ValueError("multipliers must be positive and finite")
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base**exponent for base > 0, inf where it overflows the float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def lambda_product_check(
     spec: SystemSpec,
     lam: tuple[float, ...],
@@ -762,16 +759,20 @@ def lambda_product_check(
     """Check whether per-equation multipliers admit a nonzero fixed point.
 
     Valid only at homogeneity ratio 1 (unit_ratio_sign 0), where scale
-    invariance makes the existence question a pure number comparison.
+    invariance makes the existence question a pure number comparison.  A
+    product or target past the float range reads inf and matches nothing.
     """
     _power_exponents(spec, "lambda_product_check")
     if unit_ratio_sign(spec.homogeneity_ratio) != 0:
         raise ValueError("multiplier product check requires homogeneity ratio 1")
     _check_multipliers(spec, lam)
     e = lambda_product_exponents(spec)
-    product = float(np.prod([l**ej for l, ej in zip(lam, e)]))
-    target = eig.lambda0 ** spec.k[0]
-    matches = bool(abs(product - target) <= LAMBDA_PRODUCT_RTOL * abs(target))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = float(np.prod([_power_or_inf(l, ej) for l, ej in zip(lam, e)]))
+    target = _power_or_inf(eig.lambda0, spec.k[0])
+    matches = bool(
+        target < math.inf and abs(product - target) <= LAMBDA_PRODUCT_RTOL * abs(target)
+    )
     return LambdaProductCheck(
         product=product,
         target=target,

@@ -924,6 +924,23 @@ class TestExitCodes:
         assert row["values"]["matches"] is False
         assert row["values"]["lambda"] == [1.0, 1.0]
 
+    def test_overflowing_lambda_row_is_a_finding(self, tmp_path):
+        # 1e200**2 overflows: the row reads inf and does not match, and the
+        # run writes no error record
+        path = write_config(
+            tmp_path,
+            "e.json",
+            {"scenario": "eigenvalue", "N": 4, "k": [4, 1], "gamma": [2, 2],
+             "M": 301, "lambda": [[1, 1e200]]},
+        )
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        records = read_records(out)
+        assert "error" not in [r["kind"] for r in records]
+        (row,) = [r for r in records if r["kind"] == "lambda_product"]
+        assert row["values"]["matches"] is False
+        assert row["values"]["product"] == "inf"
+
     def test_eigenvalue_runs_one_power_iteration(self, tmp_path, monkeypatch):
         # the bracket certifies start independence, so no extra starts run
         calls = []

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -980,24 +981,34 @@ class TestNormProfileScan:
     @given(rescalable_power_systems())
     @example(PowerSystemSpec(3, (1, 2), (1.39391119007645, 1.2288555668292651)))
     def test_pure_power_root_is_the_rescale(self, spec):
-        # Two runs that share the power iteration's shapes agree; neither is
-        # checked for accuracy.  The scan of a pure power runs every radius
-        # to SCAN_INNER_TOL from the last radius's shape, so it follows the
-        # power iteration's own shapes, and c is built from them.  G(r) =
-        # r^rho mu along r phi, so around c the scan brackets one root and
-        # accepts it.  The polish stops once |A(r phi) - r phi| <= tau r,
-        # tau = SCAN_INNER_TOL, so |G(r)/r - 1| <= tau there; with
-        # c^(rho-1) mu = 1, (r/c)^(rho-1) is within tau of 1, which puts r
-        # within about tau/|1 - rho| of c, relative.  c itself, from a power
-        # iteration at tol 1e-10, can lie up to 3.5 times that distance from
-        # the c of a run at 1e-15, so the bound says nothing of the error.
-        eig = normalized_power_iteration(spec, dome(301), tol=solver.SCAN_INNER_TOL)
+        # c from a power iteration at tol 1e-14 is the reference.  An
+        # accepted stop has |psi| <= tau (tau = SCAN_INNER_TOL) at a shape
+        # within 2 tau of settled, which moves G by at most 2 K tau G, and
+        # psi = log G - log r has slope rho - 1 along settled shapes, so
+        # |log(root / c)| <= (1 + 2K) tau / |1 - rho|, K = SHAPE_SENSITIVITY.
+        eig = normalized_power_iteration(spec, dome(301), tol=1e-14)
+        assert eig.status is IterationStatus.CONVERGED
         c = sup_norm(rescale_to_solution(spec, eig).v[0])
         prof = norm_profile_scan(spec, c / 30, 30 * c, 16, grid_size=301)
         assert len(prof.sign_changes) == 1 and prof.solutions[0] is not None
         (root,) = prof.roots
         rho = spec.homogeneity_ratio
-        assert abs(root - c) <= solver.SCAN_INNER_TOL / abs(1.0 - rho) * c
+        bound = (1.0 + 2.0 * SHAPE_SENSITIVITY) * solver.SCAN_INNER_TOL / abs(1.0 - rho)
+        assert abs(math.log(root / c)) <= bound
+
+    def test_one_path_for_every_system(self, monkeypatch):
+        # the scan never asks whether a system is a pure power
+        scan = POLISH_SCANS["gamma22"]
+        want = norm_profile_scan(*scan, grid_size=301)
+
+        def unread(spec):
+            raise AssertionError("norm_profile_scan read SystemSpec.gamma")
+
+        monkeypatch.setattr(SystemSpec, "gamma", property(unread))
+        got = norm_profile_scan(*scan, grid_size=301)
+        for field in ("values", "converged", "sign_changes", "roots",
+                      "polish_steps", "inner_iterations"):
+            assert getattr(got, field) == getattr(want, field)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -1464,6 +1475,18 @@ class TestLambdaMachinery:
         chk = lambda_product_check(LAPLACE_3D, (1.1 * eig.lambda0, 1.0), eig)
         assert not chk.matches
         assert chk.target == pytest.approx(eig.lambda0)
+
+    def test_overflowing_product_matches_nothing(self):
+        # 1e200**2 and (1e100)**4 are past the float range: each reads inf,
+        # and the check says no instead of raising
+        spec = PowerSystemSpec(4, (4, 1), (2.0, 2.0))
+        eig = normalized_power_iteration(spec, dome(301))
+        chk = lambda_product_check(spec, (1.0, 1e200), eig)
+        assert chk.product == chk.composite_factor == math.inf
+        assert math.isfinite(chk.target) and not chk.matches
+        huge = dataclasses.replace(eig, lambda0=1e100)
+        chk = lambda_product_check(spec, (1.0, 1.0), huge)
+        assert chk.product == 1.0 and chk.target == math.inf and not chk.matches
 
     def test_product_check_domain(self):
         eig = normalized_power_iteration(LAPLACE_3D, dome(301))
